@@ -12,11 +12,7 @@
  *   --require-speedup <x>  fail (exit 1) unless the compiled path
  *                          beats the interpreter by at least x on the
  *                          equality and linear families (CI smoke
- *                          uses 1.0; the design target is 3.0), and
- *                          the fused batch sweep beats the
- *                          per-invariant kernels by at least x on
- *                          the generation-shaped candidate set (CI
- *                          smoke 1.0; the design target is 2.0).
+ *                          uses 1.0; the design target is 3.0).
  */
 
 #include <benchmark/benchmark.h>
@@ -26,7 +22,6 @@
 
 #include "bench/common.hh"
 #include "expr/compile.hh"
-#include "expr/fused.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/strings.hh"
@@ -45,8 +40,6 @@ using trace::VarId;
 
 const trace::Point benchPoint = trace::Point::insn(isa::Mnemonic::L_ADD);
 constexpr size_t numRecords = 1 << 15;
-/** GPR ladder width for the generation-shaped candidate grid. */
-constexpr uint32_t kLadder = 12;
 
 /**
  * A synthetic trace whose records satisfy one invariant per family
@@ -73,13 +66,6 @@ makeTrace()
         rec.post[VarId::PC] = uint32_t(rng.next()) & ~3u;  // mod 4
         rec.post[VarId::NPC] = rec.post[VarId::PC] + 4;    // ordering
         rec.post[VarId::MEMADDR] = a * 2 + 16;             // linear
-        // A ladder of GPR columns at fixed offsets from a shared
-        // per-row base: every ordering and unit-slope linear relation
-        // between rungs holds, so the generation-shaped candidate
-        // grid below never takes an early exit.
-        uint32_t base = uint32_t(rng.next()) & 0xffff;
-        for (uint32_t g = 0; g < kLadder; ++g)
-            rec.post[trace::gprVar(16 + g)] = base + g;
         buf.record(rec);
     }
     return buf;
@@ -211,75 +197,9 @@ experiment()
     }
     std::printf("%s\n", table.render().c_str());
 
-    // --- fused batch sweep vs per-invariant kernels ---
-    // A generation-shaped candidate set: the falsifier's pair grid
-    // (ordering, disequality, and unit-slope linear relations over
-    // every slot pair) at one point, every member holding so neither
-    // side gets an early exit. The per-invariant baseline re-sweeps
-    // the matrix once per member; the fused program is one traversal.
-    std::vector<Invariant> grid;
-    for (uint32_t i = 0; i < kLadder; ++i) {
-        for (uint32_t j = i + 1; j < kLadder; ++j) {
-            Operand lo = Operand::var(trace::gprVar(16 + i));
-            Operand hi = Operand::var(trace::gprVar(16 + j));
-            auto mk = [&](CmpOp op, Operand lhs, Operand rhs) {
-                Invariant inv;
-                inv.point = benchPoint;
-                inv.op = op;
-                inv.lhs = lhs;
-                inv.rhs = rhs;
-                grid.push_back(inv);
-            };
-            mk(CmpOp::Ge, hi, lo);
-            mk(CmpOp::Ne, lo, hi);
-            Operand shifted = lo;
-            shifted.addImm = j - i;
-            mk(CmpOp::Eq, hi, shifted);
-        }
-    }
-    std::vector<CompiledInvariant> progs;
-    expr::FusedProgram fp;
-    for (const Invariant &inv : grid) {
-        progs.push_back(CompiledInvariant::compile(inv));
-        fp.add(progs.back());
-    }
-    fp.seal();
-    for (const auto &prog : progs) {
-        if (prog.firstViolation(*pc, 0, numRecords) !=
-            CompiledInvariant::npos)
-            fatal("bench candidate grid does not hold");
-    }
-
-    double perInvariant = recordsPerSecond([&] {
-        size_t any = 0;
-        for (const auto &prog : progs)
-            any |= prog.firstViolation(*pc, 0, numRecords);
-        benchmark::DoNotOptimize(any);
-    });
-    std::vector<size_t> firstBad(fp.members());
-    double fused = recordsPerSecond([&] {
-        fp.sweepViolations(*pc, 0, numRecords, firstBad.data());
-        benchmark::DoNotOptimize(firstBad.data());
-    });
-    double fusedSpeedup = fused / perInvariant;
-    speedups["fused-batch"] = fusedSpeedup;
-
-    TextTable fusedTable({"Candidate set", "Per-invariant (rec/s)",
-                          "Fused (rec/s)", "Speedup"});
-    fusedTable.addRow({format("pair grid (%zu members)", grid.size()),
-                       format("%.3g", perInvariant),
-                       format("%.3g", fused),
-                       format("%.2fx", fusedSpeedup)});
-    std::printf("%s\n", fusedTable.render().c_str());
-    bench::recordMetric("fused.per-invariant", perInvariant,
-                        "records/s");
-    bench::recordMetric("fused.batch", fused, "records/s");
-    bench::recordMetric("fused.speedup", fusedSpeedup, "x");
-
     double gate = bench::options().requireSpeedup;
     if (gate > 0) {
-        for (const char *family : {"equality", "linear",
-                                   "fused-batch"}) {
+        for (const char *family : {"equality", "linear"}) {
             if (speedups[family] < gate) {
                 bench::failBench(format(
                     "%s family speedup %.2fx below the required "
@@ -334,29 +254,6 @@ evalCompiled(benchmark::State &state)
                             int64_t(numRecords));
 }
 BENCHMARK(evalCompiled)->Unit(benchmark::kMicrosecond);
-
-void
-evalFusedPair(benchmark::State &state)
-{
-    // The equality family next to its orig twin, fused: two members,
-    // one column traversal.
-    BenchState &s = benchState();
-    const trace::PointColumns *pc = s.cols.point(benchPoint.id());
-    expr::FusedProgram fp;
-    fp.add(s.prog);
-    Invariant rev = s.inv;
-    std::swap(rev.lhs, rev.rhs);
-    fp.add(rev);
-    fp.seal();
-    std::vector<size_t> firstBad(fp.members());
-    for (auto _ : state) {
-        fp.sweepViolations(*pc, 0, numRecords, firstBad.data());
-        benchmark::DoNotOptimize(firstBad.data());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(numRecords));
-}
-BENCHMARK(evalFusedPair)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace scif

@@ -1,23 +1,22 @@
 /**
  * @file
  * Simulation front-end throughput: instructions/second of the
- * chained predecoded block cache versus the plain (unchained) block
- * cache versus the interpreted fetch-decode-execute loop, over the
- * full 17-program training suite. Every front end is measured traced
- * (records emitted to an AoS buffer) and untraced (the fuzzing and
- * trigger-replay regime); every sweep reloads the program image, so
- * the cached numbers include the predecode cost itself. The three
- * front ends are sampled round-robin, best of three passes each, to
- * keep scheduler noise out of the reported ratios. A second
- * table times the trace-to-columns path: capture-time columnar
- * scattering plus seal against the classic record buffer plus
- * post-hoc transpose.
+ * predecoded block cache versus the interpreted fetch-decode-execute
+ * loop, over the full 17-program training suite. Both front ends are
+ * measured traced (records emitted to an AoS buffer) and untraced
+ * (the fuzzing and trigger-replay regime); every sweep reloads the
+ * program image, so the cached numbers include the predecode cost
+ * itself. The two front ends are sampled round-robin, best of three
+ * passes each, to keep scheduler noise out of the reported ratios. A
+ * second table times the trace-to-columns path: capture-time
+ * columnar scattering plus seal against the classic record buffer
+ * plus post-hoc transpose.
  *
  * Flags (on top of the common bench flags):
- *   --require-speedup <x>  fail (exit 1) unless superblock chaining
- *                          beats the unchained block cache by at
- *                          least x on the untraced suite sweep (CI
- *                          smoke uses 1.0; the design target is 1.3).
+ *   --require-speedup <x>  fail (exit 1) unless the predecoded block
+ *                          cache beats the interpreted front end by
+ *                          at least x on the untraced suite sweep (CI
+ *                          smoke uses 1.0).
  */
 
 #include <benchmark/benchmark.h>
@@ -87,19 +86,16 @@ sweepsPerSecond(Fn &&sweep)
  *
  * @param progs the assembled suite.
  * @param predecode block-cache front end (false = interpreted).
- * @param chain superblock chaining (only meaningful with predecode).
  * @param traced emit records into an AoS buffer (false = the
  *        untraced fuzz/replay regime).
  */
 double
-suiteRate(std::vector<Prepared> &progs, bool predecode, bool chain,
-          bool traced)
+suiteRate(std::vector<Prepared> &progs, bool predecode, bool traced)
 {
     std::vector<std::unique_ptr<cpu::Cpu>> cpus;
     for (auto &p : progs) {
         cpu::CpuConfig config = p.config;
         config.predecode = predecode;
-        config.chain = chain;
         cpus.push_back(std::make_unique<cpu::Cpu>(config));
     }
 
@@ -183,42 +179,32 @@ experiment()
     auto progs = prepare();
 
     TextTable table({"Mode", "Interpreted (insn/s)",
-                     "Predecoded (insn/s)", "Chained (insn/s)",
-                     "Chain speedup", "Total speedup"});
-    double chainSpeedups[2];
+                     "Predecoded (insn/s)", "Speedup"});
+    double speedups[2];
     const char *modes[2] = {"untraced", "traced"};
     for (int traced = 0; traced < 2; ++traced) {
-        // Round-robin the three front ends and keep each one's best
+        // Round-robin the two front ends and keep each one's best
         // pass: on a loaded host a throughput sample is only ever
         // noise-floored (a stall can make a pass slower, never
         // faster), so best-of-N interleaved passes is the honest
-        // comparator for the chained/unchained ratio.
-        double interp = 0, cached = 0, chained = 0;
+        // comparator for the predecoded/interpreted ratio.
+        double interp = 0, cached = 0;
         for (int rep = 0; rep < 3; ++rep) {
-            interp = std::max(
-                interp, suiteRate(progs, false, false, traced != 0));
-            cached = std::max(
-                cached, suiteRate(progs, true, false, traced != 0));
-            chained = std::max(
-                chained, suiteRate(progs, true, true, traced != 0));
+            interp = std::max(interp,
+                              suiteRate(progs, false, traced != 0));
+            cached = std::max(cached,
+                              suiteRate(progs, true, traced != 0));
         }
-        double chainSpeedup = chained / cached;
-        chainSpeedups[traced] = chainSpeedup;
+        speedups[traced] = cached / interp;
         table.addRow({modes[traced], format("%.3g", interp),
-                      format("%.3g", cached), format("%.3g", chained),
-                      format("%.2fx", chainSpeedup),
-                      format("%.2fx", chained / interp)});
+                      format("%.3g", cached),
+                      format("%.2fx", speedups[traced])});
         bench::recordMetric(format("sim.%s.interpreted", modes[traced]),
                             interp, "insn/s");
         bench::recordMetric(format("sim.%s.predecoded", modes[traced]),
                             cached, "insn/s");
-        bench::recordMetric(format("sim.%s.chained", modes[traced]),
-                            chained, "insn/s");
-        bench::recordMetric(
-            format("sim.%s.chain_speedup", modes[traced]),
-            chainSpeedup, "x");
         bench::recordMetric(format("sim.%s.speedup", modes[traced]),
-                            chained / interp, "x");
+                            speedups[traced], "x");
     }
     std::printf("%s\n", table.render().c_str());
 
@@ -235,23 +221,22 @@ experiment()
     bench::recordMetric("columns.speedup", direct / transpose, "x");
 
     double gate = bench::options().requireSpeedup;
-    if (gate > 0 && chainSpeedups[0] < gate) {
+    if (gate > 0 && speedups[0] < gate) {
         bench::failBench(format(
-            "untraced chain speedup %.2fx below the required %.2fx",
-            chainSpeedups[0], gate));
+            "untraced predecode speedup %.2fx below the required "
+            "%.2fx",
+            speedups[0], gate));
     }
 }
 
 /** Micro-benchmark twins of the table, for --benchmark_filter runs. */
 void
-simFrontEnd(benchmark::State &state, bool predecode, bool chain,
-            bool traced)
+simFrontEnd(benchmark::State &state, bool predecode, bool traced)
 {
     const auto &w = workloads::byName("gzip");
     assembler::Program program = assembler::assembleOrDie(w.source);
     cpu::CpuConfig config = w.config;
     config.predecode = predecode;
-    config.chain = chain;
     cpu::Cpu cpu(config);
     trace::TraceBuffer buf;
     uint64_t insns = 0;
@@ -273,30 +258,23 @@ simFrontEnd(benchmark::State &state, bool predecode, bool chain,
 void
 simInterpreted(benchmark::State &state)
 {
-    simFrontEnd(state, false, false, false);
+    simFrontEnd(state, false, false);
 }
 BENCHMARK(simInterpreted)->Unit(benchmark::kMicrosecond);
 
 void
 simPredecoded(benchmark::State &state)
 {
-    simFrontEnd(state, true, false, false);
+    simFrontEnd(state, true, false);
 }
 BENCHMARK(simPredecoded)->Unit(benchmark::kMicrosecond);
 
 void
-simChained(benchmark::State &state)
+simPredecodedTraced(benchmark::State &state)
 {
-    simFrontEnd(state, true, true, false);
+    simFrontEnd(state, true, true);
 }
-BENCHMARK(simChained)->Unit(benchmark::kMicrosecond);
-
-void
-simChainedTraced(benchmark::State &state)
-{
-    simFrontEnd(state, true, true, true);
-}
-BENCHMARK(simChainedTraced)->Unit(benchmark::kMicrosecond);
+BENCHMARK(simPredecodedTraced)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace scif

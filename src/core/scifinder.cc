@@ -213,8 +213,12 @@ runPipeline(const PipelineConfig &config)
 
     // ---- phase 2: optimization (rewrites the model in place) ----
     Stage<invgen::InvariantSet, std::vector<opt::PassStats>> optStage(
-        "optimization", [](StageContext &, invgen::InvariantSet &m) {
+        "optimization",
+        [](StageContext &, invgen::InvariantSet &m) {
             return opt::optimize(m);
+        },
+        [](const invgen::InvariantSet &m, const auto &) {
+            return uint64_t(m.size());
         });
     result.optimizationStats = optStage.run(ctx, result.model);
     if (persist)
@@ -259,6 +263,9 @@ runPipeline(const PipelineConfig &config)
                                       out.violations, sc.pool(),
                                       cfg.interpretedSim);
             return out;
+        },
+        [](const auto &, const IdentOutput &out) {
+            return uint64_t(out.db.sciIndices().size());
         });
     IdentOutput ident = identStage.run(ctx, result.model);
     result.validationViolations = std::move(ident.violations);
@@ -277,6 +284,9 @@ runPipeline(const PipelineConfig &config)
                 return sci::infer(model, result.database,
                                   result.validationViolations,
                                   cfg.inference);
+            },
+            [](const auto &, const sci::InferenceResult &inferred) {
+                return uint64_t(inferred.inferredSci.size());
             });
         result.inference = inferStage.run(ctx, result.model);
         if (persist)

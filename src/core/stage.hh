@@ -22,9 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/evalstats.hh"
 #include "support/memstats.hh"
-#include "support/simstats.hh"
 #include "support/threadpool.hh"
 
 namespace scif::core {
@@ -44,25 +42,6 @@ struct StageStats
      *  this stage's streaming readers/writers. Zero for stages that
      *  never touch the trace store. */
     uint64_t traceResidentPeak = 0;
-    /** Simulation front-end behavior during this stage (deltas of
-     *  the process-wide counters every dying BlockCache flushes):
-     *  boundaries dispatched through a chained block transition,
-     *  chain links severed by code-store invalidation, and
-     *  boundaries handed back to the interpreted path. All zero for
-     *  stages that never simulate. */
-    uint64_t chainHits = 0;
-    uint64_t chainSevers = 0;
-    uint64_t cacheFallbacks = 0;
-    /** Fused-evaluation behavior during this stage (deltas of the
-     *  process-wide support::EvalCounters): candidate programs fused
-     *  into batch DAGs, structural duplicates collapsed by the
-     *  value-numbering, members retired live mid-sweep, and sweep
-     *  re-compactions. All zero for stages that never evaluate
-     *  invariants — and under --no-fused-eval. */
-    uint64_t fusedMembers = 0;
-    uint64_t fusedDeduped = 0;
-    uint64_t fusedRetired = 0;
-    uint64_t fusedCompactions = 0;
 };
 
 /** Execution environment shared by the stages of one pipeline run. */
@@ -136,9 +115,18 @@ class Stage
 {
   public:
     using Fn = std::function<Out(StageContext &, In &)>;
+    /** The items a stage produced, given its input after the run and
+     *  its output. */
+    using Count = std::function<uint64_t(const In &, const Out &)>;
 
-    Stage(std::string name, Fn fn)
-        : name_(std::move(name)), fn_(std::move(fn))
+    /**
+     * @param count items produced, for stages whose output is not a
+     *        container of them (an in-place rewrite, or a result
+     *        struct); by default the output's size().
+     */
+    Stage(std::string name, Fn fn, Count count = {})
+        : name_(std::move(name)), fn_(std::move(fn)),
+          count_(std::move(count))
     {}
 
     const std::string &name() const { return name_; }
@@ -151,26 +139,15 @@ class Stage
         stats.name = name_;
         stats.itemsIn = detail::countItems(in);
         support::ResidentGauge::resetHighWater();
-        auto front = support::FrontEndCounters::snapshot();
-        auto eval = support::EvalCounters::snapshot();
         auto start = std::chrono::steady_clock::now();
         Out out = fn_(ctx, in);
         auto end = std::chrono::steady_clock::now();
         stats.seconds =
             std::chrono::duration<double>(end - start).count();
-        stats.itemsOut = detail::countItems(out);
+        stats.itemsOut =
+            count_ ? count_(in, out) : detail::countItems(out);
         stats.maxRssKb = support::peakRssKb();
         stats.traceResidentPeak = support::ResidentGauge::highWater();
-        auto after = support::FrontEndCounters::snapshot();
-        stats.chainHits = after.chainHits - front.chainHits;
-        stats.chainSevers = after.chainSevers - front.chainSevers;
-        stats.cacheFallbacks = after.fallbacks - front.fallbacks;
-        auto evalAfter = support::EvalCounters::snapshot();
-        stats.fusedMembers = evalAfter.fusedMembers - eval.fusedMembers;
-        stats.fusedDeduped = evalAfter.fusedDeduped - eval.fusedDeduped;
-        stats.fusedRetired = evalAfter.fusedRetired - eval.fusedRetired;
-        stats.fusedCompactions =
-            evalAfter.fusedCompactions - eval.fusedCompactions;
         ctx.record(std::move(stats));
         return out;
     }
@@ -178,6 +155,7 @@ class Stage
   private:
     std::string name_;
     Fn fn_;
+    Count count_;
 };
 
 } // namespace scif::core

@@ -2,20 +2,11 @@
 
 #include <algorithm>
 
-#include "support/simstats.hh"
-
 namespace scif::cpu {
 
 BlockCache::BlockCache(uint32_t memBytes)
     : pageBlocks_((memBytes + (1u << pageShift) - 1) >> pageShift, 0)
 {
-}
-
-BlockCache::~BlockCache()
-{
-    support::FrontEndCounters::add(stats_.chainHits,
-                                   stats_.chainSevers,
-                                   stats_.fallbacks);
 }
 
 Block *
@@ -108,54 +99,6 @@ BlockCache::indexPages(Block *b)
 }
 
 void
-BlockCache::link(Block *from, Block *to, bool fallthrough)
-{
-    Block *&slot = fallthrough ? from->succFall : from->succTaken;
-    if (slot == to)
-        return;
-    if (slot != nullptr) {
-        // Retarget (indirect branch changed destination): drop the
-        // old back-link first so the mirror stays exact.
-        auto &preds = slot->preds;
-        auto it = std::find(preds.begin(), preds.end(), from);
-        if (it != preds.end())
-            preds.erase(it);
-    }
-    slot = to;
-    to->preds.push_back(from);
-    ++stats_.chainLinks;
-}
-
-void
-BlockCache::severLinks(Block *b)
-{
-    // Incoming: one back-link entry per installed link, so clearing
-    // one matching slot per entry cuts exactly the recorded links
-    // (a predecessor with both slots on b appears twice).
-    for (Block *p : b->preds) {
-        if (p->succFall == b)
-            p->succFall = nullptr;
-        else if (p->succTaken == b)
-            p->succTaken = nullptr;
-        ++stats_.chainSevers;
-    }
-    b->preds.clear();
-
-    // Outgoing: the dying block must disappear from its successors'
-    // back-link lists, or a later sever there would chase it into
-    // freed memory.
-    for (Block **slot : {&b->succFall, &b->succTaken}) {
-        if (*slot == nullptr)
-            continue;
-        auto &preds = (*slot)->preds;
-        auto it = std::find(preds.begin(), preds.end(), b);
-        if (it != preds.end())
-            preds.erase(it);
-        *slot = nullptr;
-    }
-}
-
-void
 BlockCache::invalidateSlow(uint32_t addr, uint32_t size)
 {
     uint32_t first = addr >> pageShift;
@@ -175,7 +118,6 @@ BlockCache::invalidateSlow(uint32_t addr, uint32_t size)
     }
 
     for (Block *b : victims) {
-        severLinks(b);
         uint32_t bfirst = b->pc >> pageShift;
         uint32_t blast = (b->pc + b->bytes - 1) >> pageShift;
         for (uint32_t p = bfirst; p <= blast && p < pageCount(); ++p) {

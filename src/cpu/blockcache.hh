@@ -32,19 +32,6 @@
  *  - Invalidated blocks park in a graveyard until the owning Cpu has
  *    dropped its dispatch cursor, so a store into the *currently
  *    executing* block finishes its boundary on a live object.
- *
- * Superblock chaining (threaded dispatch): once control flow between
- * two cached blocks resolves, the predecessor stores a direct pointer
- * to its successor (a fallthrough slot and a monomorphic taken slot),
- * and the dispatcher follows the pointer instead of dropping its
- * cursor and taking the hash-lookup round trip through the cache.
- * Links only ever connect blocks decoded under the same mutation key
- * (both ends of a link come from the same keyed lookup stream), and a
- * followed link is guarded by the successor's entry pc, so a stale
- * monomorphic target simply misses back to the slow path. Every link
- * is mirrored in the successor's back-link list so invalidation can
- * sever it from either end — a severed predecessor can never chase a
- * pointer into the graveyard.
  */
 
 #ifndef SCIFINDER_CPU_BLOCKCACHE_HH
@@ -135,19 +122,6 @@ struct Block
     uint64_t key = 0;    ///< mutation key it was decoded under
     bool alive = true;   ///< false once invalidated (graveyard)
 
-    /** Chained successor when this block falls through (or branches)
-     *  to pc + bytes. Null until the transition resolves once. */
-    Block *succFall = nullptr;
-    /** Chained successor for any other resolved transition — a
-     *  monomorphic inline cache: the dispatcher re-checks the target
-     *  pc on every follow, so indirect branches that change targets
-     *  miss and re-link. */
-    Block *succTaken = nullptr;
-    /** One entry per incoming link (a predecessor pointing at this
-     *  block twice appears twice); invalidation walks this list to
-     *  null the matching successor slots. */
-    std::vector<Block *> preds;
-
     std::vector<CachedOp> ops;
 };
 
@@ -161,15 +135,11 @@ class BlockCache
         uint64_t builds = 0;        ///< blocks decoded
         uint64_t invalidations = 0; ///< blocks killed by code stores
         uint64_t flushes = 0;       ///< whole-cache flushes
-        uint64_t chainLinks = 0;    ///< successor links installed
-        uint64_t chainHits = 0;     ///< transitions through a link
-        uint64_t chainSevers = 0;   ///< links cut by invalidation
         uint64_t fallbacks = 0;     ///< boundaries run interpreted
                                     ///< (negative entry / privilege)
     };
 
     explicit BlockCache(uint32_t memBytes);
-    ~BlockCache();
 
     /**
      * The block starting at @p pc under mutation key @p key, decoding
@@ -216,20 +186,9 @@ class BlockCache
      *  hot path stays a single increment). */
     void countHit() { ++stats_.hits; }
 
-    /** Count one chained block transition (no lookup round trip). */
-    void countChainHit() { ++stats_.chainHits; }
-
     /** Count one boundary the dispatcher handed back to the
      *  interpreted path. */
     void countFallback() { ++stats_.fallbacks; }
-
-    /**
-     * Install (or retarget) the chain link @p from -> @p to for the
-     * transition kind @p fallthrough. Both blocks must be alive, hold
-     * ops, and share one mutation key — the dispatcher's keyed lookup
-     * guarantees all three.
-     */
-    void link(Block *from, Block *to, bool fallthrough);
 
     /** Longest straight-line run decoded into one block. */
     static constexpr size_t maxOps = 64;
@@ -252,7 +211,6 @@ class BlockCache
                  uint32_t userBase);
     void indexPages(Block *b);
     void invalidateSlow(uint32_t addr, uint32_t size);
-    void severLinks(Block *b);
 
     std::unordered_map<uint64_t, std::unique_ptr<Block>> blocks_;
     std::vector<uint32_t> pageBlocks_; ///< blocks touching each page

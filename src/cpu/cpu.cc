@@ -18,22 +18,6 @@ using isa::Mnemonic;
 using trace::Record;
 using trace::VarId;
 
-namespace {
-bool chainDefault_ = true;
-} // namespace
-
-bool
-chainDefaultEnabled()
-{
-    return chainDefault_;
-}
-
-void
-setChainDefault(bool enabled)
-{
-    chainDefault_ = enabled;
-}
-
 Cpu::Cpu(CpuConfig config)
     : config_(std::move(config)),
       mem_(config_.memBytes, config_.userBase)
@@ -151,13 +135,8 @@ Cpu::refreshCacheMode()
     // front end whenever it is active.
     cacheOn_ = cache_ != nullptr &&
                !has(Mutation::B11_FetchAfterLsuStall);
-    // A mutation-key change must never extend an existing chain:
-    // links only connect same-key blocks, and dropping the cursor
-    // here leaves no predecessor to link the next lookup from.
-    chainOn_ = cacheOn_ && config_.chain;
     curBlock_ = nullptr;
     curOp_ = 0;
-    chainBreak_ = false;
 }
 
 void
@@ -195,7 +174,6 @@ Cpu::reset()
     // only the dispatch cursor drops.
     curBlock_ = nullptr;
     curOp_ = 0;
-    chainBreak_ = false;
 }
 
 void
@@ -376,11 +354,6 @@ Cpu::enterException(Exception e, uint32_t fault_pc, uint32_t next_pc,
     if (roriTaint_ && has(Mutation::B8_RoriVector))
         vector ^= 0x400; // rotate residue corrupts the vector mux
     pc_ = vector;
-
-    // Exception entry severs the dispatch chain: the next boundary
-    // must neither follow a link into the handler nor install a
-    // faulting-edge link a clean re-run would never take.
-    chainBreak_ = true;
 }
 
 MemResult
@@ -931,52 +904,16 @@ Cpu::nextCachedOp()
     if (curBlock_ == nullptr || !curBlock_->alive ||
         curOp_ >= curBlock_->ops.size() ||
         curBlock_->ops[curOp_].pc != pc_) {
-        // A live block the cursor ran off the end of is a resolved
-        // block transition: the superblock dispatch either follows
-        // an installed successor link (no cursor drop, no lookup
-        // round trip) or remembers the block so the slow path below
-        // can install one. An exception entry since the last
-        // boundary (chainBreak_) disqualifies the transition — the
-        // handler edge must stay unchained.
-        Block *prev = nullptr;
-        bool followed = false;
-        if (chainOn_ && !chainBreak_ && curBlock_ != nullptr &&
-            curBlock_->alive && curOp_ >= curBlock_->ops.size()) {
-            Block *next = curBlock_->succFall;
-            if (next == nullptr || next->pc != pc_)
-                next = curBlock_->succTaken;
-            if (next != nullptr && next->pc == pc_ && next->alive) {
-                // Threaded dispatch: linked blocks always hold ops
-                // (negative entries are never linked) and share the
-                // active mutation key.
-                cache_->countChainHit();
-                curBlock_ = next;
-                curOp_ = 0;
-                followed = true;
-            } else {
-                prev = curBlock_;
-            }
-        }
-        chainBreak_ = false;
-        if (!followed) {
-            // The cursor was the only outstanding reference, so
-            // parked invalidated blocks can be freed now. (A live
-            // chain predecessor is never parked — only invalidated
-            // blocks enter the graveyard.)
-            curBlock_ = nullptr;
-            cache_->purgeDead();
-            curBlock_ = cache_->lookupOrBuild(pc_, mutKey_, mem_,
-                                              config_.userBase);
-            curOp_ = 0;
-            if (curBlock_->ops.empty() ||
-                curBlock_->ops[0].pc != pc_) {
-                cache_->countFallback();
-                return nullptr; // negative entry: run interpreted
-            }
-            if (prev != nullptr && prev->alive) {
-                cache_->link(prev, curBlock_,
-                             pc_ == prev->pc + prev->bytes);
-            }
+        // The cursor was the only outstanding reference, so parked
+        // invalidated blocks can be freed now.
+        curBlock_ = nullptr;
+        cache_->purgeDead();
+        curBlock_ = cache_->lookupOrBuild(pc_, mutKey_, mem_,
+                                          config_.userBase);
+        curOp_ = 0;
+        if (curBlock_->ops.empty() || curBlock_->ops[0].pc != pc_) {
+            cache_->countFallback();
+            return nullptr; // negative entry: run interpreted
         }
     }
     const CachedOp &op = curBlock_->ops[curOp_++];

@@ -52,16 +52,6 @@ struct RunResult
     HaltReason reason = HaltReason::MaxInsns;
 };
 
-/**
- * Process-wide default for CpuConfig::chain. `scifinder --no-chain`
- * flips it once at startup (before any simulation threads exist) so
- * every subsequently constructed configuration runs unchained; tests
- * and benches that need explicit control set CpuConfig::chain
- * directly instead.
- */
-bool chainDefaultEnabled();
-void setChainDefault(bool enabled);
-
 /** Static configuration of a simulated system. */
 struct CpuConfig
 {
@@ -77,16 +67,6 @@ struct CpuConfig
      * Both front ends produce byte-identical traces.
      */
     bool predecode = true;
-
-    /**
-     * Chain predecoded blocks across resolved control flow
-     * (superblock / threaded dispatch): block transitions follow a
-     * stored successor pointer instead of re-entering the cache
-     * lookup. Traces and architectural state are byte-identical with
-     * chaining on or off; off reproduces the plain block-cache
-     * dispatch (the perf baseline).
-     */
-    bool chain = chainDefaultEnabled();
 
     /**
      * Microarchitectural trace extension (the paper's §5.2 future-
@@ -330,10 +310,6 @@ class Cpu
     size_t curOp_ = 0;                  ///< next op within curBlock_
     uint64_t mutKey_ = 0;               ///< active mutation cache key
     bool cacheOn_ = false;              ///< predecode usable right now
-    bool chainOn_ = false;              ///< superblock chaining active
-    bool chainBreak_ = false;           ///< exception entered: do not
-                                        ///< follow or install a link
-                                        ///< at the next boundary
     bool memDirty_ = false;             ///< stores since loadProgram()
     DecodeMemo dsMemo_;                 ///< interpreted-path ds decode
     trace::Record scratch_;             ///< reused by untraced steps

@@ -215,21 +215,6 @@ CompiledInvariant::firstViolation(const trace::PointColumns &cols,
     return npos;
 }
 
-void
-CompiledInvariant::evalMask(const trace::PointColumns &cols,
-                            size_t begin, size_t end,
-                            uint8_t *out) const
-{
-    uint32_t regs[kNumRegs][kBlock];
-    for (size_t pos = begin; pos < end; pos += kBlock) {
-        size_t len = std::min(kBlock, end - pos);
-        runBlock(cols, pos, len, regs);
-        const uint32_t *res = regs[resultReg_];
-        for (size_t k = 0; k < len; ++k)
-            out[pos - begin + k] = uint8_t(res[k]);
-    }
-}
-
 bool
 CompiledInvariant::holdsRecord(const trace::Record &rec) const
 {

@@ -58,10 +58,10 @@ struct Insn
 };
 
 /**
- * A compiled invariant expression. Compile once, evaluate many:
- * batch kernels over column matrices for the generation /
- * identification sweeps, and a scalar kernel for the streaming
- * assertion monitor. Compiled programs are immutable and safe to
+ * A compiled invariant expression. Compile once, evaluate many: a
+ * batch kernel over column matrices for the identification scans,
+ * and a scalar kernel for the assertion monitor and the checking
+ * service's shards. Compiled programs are immutable and safe to
  * share across threads.
  */
 class CompiledInvariant
@@ -86,10 +86,6 @@ class CompiledInvariant
     size_t firstViolation(const trace::PointColumns &cols, size_t begin,
                           size_t end) const;
 
-    /** Batch kernel: write one byte per row (1 = holds) to @p out. */
-    void evalMask(const trace::PointColumns &cols, size_t begin,
-                  size_t end, uint8_t *out) const;
-
     /** Scalar kernel for streaming sinks (assertion monitor). */
     bool holdsRecord(const trace::Record &rec) const;
 
@@ -97,17 +93,9 @@ class CompiledInvariant
     bool compatible(const trace::PointColumns &cols) const;
 
     /** Slot ids of every column the program loads, sorted and
-     *  deduplicated (fused-group column planning and compatible()
-     *  checks count each referenced column once). */
+     *  deduplicated (the column materialization lists of the
+     *  identification scan count each referenced column once). */
     std::vector<uint16_t> slots() const;
-
-    const std::vector<Insn> &program() const { return program_; }
-
-    /** Register holding the final truth value after the program. */
-    uint8_t resultReg() const { return resultReg_; }
-
-    /** The sorted membership set an InSet instruction tests. */
-    const std::vector<uint32_t> &inSet() const { return set_; }
 
   private:
     /** Execute over one block; r[resultReg_][k] = holds(row begin+k). */

@@ -90,7 +90,6 @@ diffProgram(const assembler::Program &program, const DiffConfig &config)
     cc.maxInsns = config.maxInsns;
     cc.mutations = config.mutations;
     cc.predecode = config.predecode;
-    cc.chain = config.chain;
     cpu::Cpu c(cc);
     c.loadProgram(program);
 

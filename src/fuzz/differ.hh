@@ -40,9 +40,6 @@ struct DiffConfig
      *  is independent of both, so the differ doubles as the oracle
      *  for the front ends themselves. */
     bool predecode = true;
-    /** Superblock chaining on the Cpu side (ignored when predecode
-     *  is off). */
-    bool chain = true;
 };
 
 /** First mismatch found by a co-simulation run. */

@@ -325,10 +325,8 @@ class Engine
 
         std::vector<const PointState *> emit;
         uint64_t records = 0;
-        uint64_t deduped = 0;
         for (const auto &[id, st] : states_) {
             records += st->n;
-            deduped += st->deduped;
             if (st->n >= config_.minSamples)
                 emit.push_back(st.get());
         }
@@ -355,7 +353,6 @@ class Engine
             stats->records = records;
             stats->points = states_.size();
             stats->candidatesTried = candidates;
-            stats->candidatesDeduped = deduped;
         }
         return out;
     }
@@ -379,7 +376,6 @@ class Engine
     {
         trace::Point point;
         uint64_t n = 0;
-        uint64_t deduped = 0; ///< fused candidates hash-consed away
         std::vector<SlotAcc> slots;
         std::vector<uint8_t> pairBits; // i<j upper triangle
         std::vector<uint8_t> linear;   // (i*ns + j)*scales + a
@@ -557,28 +553,21 @@ class Engine
             windowAllFirst[s] = wasConstant && acc.constant ? 1 : 0;
         }
 
-        if (config_.fusedEval) {
-            falsifyFused(st, pc, n, prevConst, prevDiff,
-                         windowAllFirst);
-        } else {
-            falsifyScalar(st, colOf, n, prevConst, prevDiff,
-                          windowAllFirst);
-        }
+        falsify(st, colOf, n, prevConst, prevDiff, windowAllFirst);
 
         st.n += n;
     }
 
     /**
-     * Per-template falsification sweeps — one matrix traversal per
-     * still-alive candidate. This is the --no-fused-eval differential
-     * oracle; falsifyFused() must leave identical evidence.
+     * Per-template falsification sweeps — one column traversal per
+     * still-alive candidate, stopping at the first block that holds a
+     * violating row.
      */
     void
-    falsifyScalar(PointState &st,
-                  const std::vector<const uint32_t *> &colOf, size_t n,
-                  const std::vector<uint8_t> &prevConst,
-                  const std::vector<uint8_t> &prevDiff,
-                  const std::vector<uint8_t> &windowAllFirst) const
+    falsify(PointState &st, const std::vector<const uint32_t *> &colOf,
+            size_t n, const std::vector<uint8_t> &prevConst,
+            const std::vector<uint8_t> &prevDiff,
+            const std::vector<uint8_t> &windowAllFirst) const
     {
         size_t ns = slots_.size();
         size_t nsc = config_.linearScales.size();
@@ -737,227 +726,6 @@ class Engine
                 }
                 if (bad)
                     st.tripleAlive[t][sub] = 0;
-            }
-        }
-    }
-
-    /**
-     * Fused falsification: every still-alive candidate at this point
-     * becomes one member of a FusedProgram, the window is traversed
-     * once, and falsified members flip exactly the evidence bits the
-     * scalar sweeps would have flipped. Candidate survival is a pure
-     * "does a violating row exist in [0, n)" query per member —
-     * independent of evaluation order or batching — and every
-     * member's row arithmetic compiles to the same operations the
-     * scalar sweep performs (mod-2^32 distributivity makes the
-     * difference template exact), so the accumulated state is
-     * bit-identical to falsifyScalar().
-     */
-    void
-    falsifyFused(PointState &st, const trace::PointColumns &pc,
-                 size_t n, const std::vector<uint8_t> &prevConst,
-                 const std::vector<uint8_t> &prevDiff,
-                 const std::vector<uint8_t> &windowAllFirst) const
-    {
-        size_t ns = slots_.size();
-        size_t nsc = config_.linearScales.size();
-
-        struct Action
-        {
-            enum Kind : uint8_t { Mod, Diff, Pair, Linear, Triple };
-            Kind kind;
-            uint32_t a = 0;
-            uint32_t b = 0;
-        };
-
-        expr::FusedProgram fp;
-        std::vector<Action> actions;
-        auto member = [&](uint32_t root, Action act) {
-            fp.addRoot(root);
-            actions.push_back(act);
-        };
-        // Column value ids interned once; every member reuses them.
-        std::vector<uint32_t> colVal(ns);
-        for (size_t s = 0; s < ns; ++s)
-            colVal[s] = fp.loadCol(slots_[s].id());
-
-        // --- modular residues and scaled differences ---
-        for (size_t s = 0; s < ns; ++s) {
-            if (windowAllFirst[s])
-                continue;
-            const auto &acc = st.slots[s];
-            uint32_t first = acc.first;
-            for (size_t m = 0; m < config_.moduli.size(); ++m) {
-                if (!acc.modAlive[m])
-                    continue;
-                uint32_t mod = config_.moduli[m];
-                uint32_t lhs = colVal[s];
-                lhs = (mod & (mod - 1)) == 0
-                          ? fp.apply(expr::OpCode::AndImm, lhs,
-                                     mod - 1)
-                          : fp.apply(expr::OpCode::ModImm, lhs, mod);
-                member(fp.compare(CmpOp::Eq, lhs,
-                                  fp.loadImm(first % mod)),
-                       {Action::Mod, uint32_t(s), uint32_t(m)});
-            }
-            for (size_t a = 0; a < nsc; ++a) {
-                if (!acc.diffAlive[a])
-                    continue;
-                uint32_t scale = config_.linearScales[a];
-                // scale*(x - first) == 0  <=>  scale*x - scale*first
-                // == 0 in mod-2^32 arithmetic.
-                uint32_t lhs = colVal[s];
-                if (scale != 1)
-                    lhs = fp.apply(expr::OpCode::MulImm, lhs, scale);
-                uint32_t add = 0u - scale * first;
-                if (add != 0)
-                    lhs = fp.apply(expr::OpCode::AddImm, lhs, add);
-                member(fp.compare(CmpOp::Eq, lhs, fp.loadImm(0)),
-                       {Action::Diff, uint32_t(s), uint32_t(a)});
-            }
-        }
-
-        // --- pairwise relation evidence ---
-        // Evidence bits are absorbing ORs: a bit sets iff a witness
-        // row exists, i.e. iff the complementary ordering invariant
-        // is violated somewhere in the window. Only unset bits of
-        // live pairs need members.
-        size_t pairIdx = 0;
-        for (size_t i = 0; i < ns; ++i) {
-            for (size_t j = i + 1; j < ns; ++j, ++pairIdx) {
-                uint8_t &bits = st.pairBits[pairIdx];
-                if (bits == pairDead)
-                    continue;
-                const auto &ai = st.slots[i];
-                const auto &aj = st.slots[j];
-                if (ai.constant && aj.constant) {
-                    // Every row of this window is (first_i, first_j).
-                    uint32_t l = ai.first, r = aj.first;
-                    bits |= l < r ? sawLtBit
-                                  : (l == r ? sawEqBit : sawGtBit);
-                    continue;
-                }
-                // A constant side folds to its immediate (same
-                // guarantee the both-constant shortcut rests on), so
-                // pairs against equal-valued constant slots become
-                // structurally identical members and hash-cons onto
-                // one evaluation.
-                uint32_t l = ai.constant ? fp.loadImm(ai.first)
-                                         : colVal[i];
-                uint32_t r = aj.constant ? fp.loadImm(aj.first)
-                                         : colVal[j];
-                if (!(bits & sawLtBit)) {
-                    // violated <=> saw x < y
-                    member(fp.compare(CmpOp::Ge, l, r),
-                           {Action::Pair, uint32_t(pairIdx),
-                            sawLtBit});
-                }
-                if (!(bits & sawEqBit)) {
-                    // violated <=> saw x == y
-                    member(fp.compare(CmpOp::Ne, l, r),
-                           {Action::Pair, uint32_t(pairIdx),
-                            sawEqBit});
-                }
-                if (!(bits & sawGtBit)) {
-                    // violated <=> saw x > y
-                    member(fp.compare(CmpOp::Le, l, r),
-                           {Action::Pair, uint32_t(pairIdx),
-                            sawGtBit});
-                }
-            }
-        }
-
-        // --- linear candidates x_i == a * x_j + b ---
-        // Seeding transitions are pure bookkeeping over the window
-        // snapshots (see falsifyScalar); only the row sweep of the
-        // surviving candidates is fused.
-        for (size_t i = 0; i < ns; ++i) {
-            if (st.slots[i].constant)
-                continue;
-            for (size_t j = 0; j < ns; ++j) {
-                if (i == j || st.slots[j].constant)
-                    continue;
-                for (size_t a = 0; a < nsc; ++a) {
-                    uint8_t &state =
-                        st.linear[(i * ns + j) * nsc + a];
-                    if (state == linDead)
-                        continue;
-                    uint32_t scale = config_.linearScales[a];
-                    uint32_t b = st.slots[i].first -
-                                 scale * st.slots[j].first;
-                    if (state == linUnseeded) {
-                        if (scale == 1 && b == 0) {
-                            state = linDead; // plain equality's job
-                            continue;
-                        }
-                        bool pastOk = prevConst[i] != 0 &&
-                                      prevDiff[j * nsc + a] != 0;
-                        if (!pastOk) {
-                            state = linDead;
-                            continue;
-                        }
-                        state = linAlive;
-                    }
-                    uint32_t l = colVal[i];
-                    uint32_t r = colVal[j];
-                    if (scale != 1)
-                        r = fp.apply(expr::OpCode::MulImm, r, scale);
-                    if (b != 0)
-                        r = fp.apply(expr::OpCode::AddImm, r, b);
-                    member(fp.compare(CmpOp::Eq, l, r),
-                           {Action::Linear,
-                            uint32_t((i * ns + j) * nsc + a), 0});
-                }
-            }
-        }
-
-        // --- targeted ternary sums ---
-        for (size_t t = 0; t < triples_.size(); ++t) {
-            const auto &spec = triples_[t];
-            if (spec.iv < 0 || spec.iw < 0 || spec.iu < 0)
-                continue;
-            for (uint32_t sub = 0; sub < 2; ++sub) {
-                if (!st.tripleAlive[t][sub])
-                    continue;
-                uint32_t l = colVal[size_t(spec.iv)];
-                uint32_t w = colVal[size_t(spec.iw)];
-                uint32_t u = colVal[size_t(spec.iu)];
-                uint32_t r = fp.apply2(sub ? expr::OpCode::Sub
-                                           : expr::OpCode::Add,
-                                       w, u);
-                member(fp.compare(CmpOp::Eq, l, r),
-                       {Action::Triple, uint32_t(t), sub});
-            }
-        }
-
-        if (fp.members() == 0)
-            return;
-        fp.seal();
-        st.deduped += fp.dedupedMembers();
-
-        std::vector<size_t> firstViolation(fp.members());
-        fp.sweepViolations(pc, 0, n, firstViolation.data());
-
-        for (size_t m = 0; m < actions.size(); ++m) {
-            if (firstViolation[m] == expr::FusedProgram::npos)
-                continue;
-            const Action &act = actions[m];
-            switch (act.kind) {
-              case Action::Mod:
-                st.slots[act.a].modAlive[act.b] = 0;
-                break;
-              case Action::Diff:
-                st.slots[act.a].diffAlive[act.b] = 0;
-                break;
-              case Action::Pair:
-                st.pairBits[act.a] |= uint8_t(act.b);
-                break;
-              case Action::Linear:
-                st.linear[act.a] = linDead;
-                break;
-              case Action::Triple:
-                st.tripleAlive[act.a][act.b] = 0;
-                break;
             }
         }
     }

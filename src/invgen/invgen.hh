@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "expr/expr.hh"
-#include "expr/fused.hh"
 #include "trace/columns.hh"
 #include "trace/record.hh"
 
@@ -73,15 +72,6 @@ struct Config
     std::set<uint16_t> disabledVars = {trace::VarId::JEA,
                                        trace::VarId::EA,
                                        trace::VarId::USTALL};
-
-    /**
-     * Falsify candidates through per-point fused programs (one
-     * matrix traversal per window with cross-candidate CSE) instead
-     * of one hand-rolled sweep per template. Both paths accumulate
-     * identical evidence bit for bit; the scalar path is the
-     * differential oracle behind --no-fused-eval.
-     */
-    bool fusedEval = expr::fusedEvalDefault();
 };
 
 /** A deduplicated, point-indexed collection of invariants. */
@@ -150,10 +140,9 @@ struct GenStats
     uint64_t records = 0;
     uint64_t points = 0;
     uint64_t candidatesTried = 0;
-    /** Falsification candidates that hash-consed onto an already-
-     *  fused structurally identical candidate (zero on the scalar
-     *  path). Telemetry only: the count depends on how the corpus
-     *  was windowed, the inferred invariants never do. */
+    /** Always zero: every candidate is falsified on its own, so none
+     *  is ever shared. Kept only because the benchmark reads it as
+     *  `invgen.deduped_members`. */
     uint64_t candidatesDeduped = 0;
 };
 

@@ -90,7 +90,6 @@ CompiledAssertionSet::CompiledAssertionSet(
     std::vector<Assertion> assertions)
     : assertions_(std::move(assertions))
 {
-    std::set<uint16_t> slotSet;
     compiled_.resize(assertions_.size());
     for (size_t ai = 0; ai < assertions_.size(); ++ai) {
         const auto &members = assertions_[ai].members;
@@ -100,19 +99,6 @@ CompiledAssertionSet::CompiledAssertionSet(
             points_.insert(members[mi].point.id());
             compiled_[ai].push_back(
                 expr::CompiledInvariant::compile(members[mi]));
-            for (uint16_t slot : compiled_[ai].back().slots())
-                slotSet.insert(slot);
-            ++memberCount_;
-        }
-    }
-    slots_.assign(slotSet.begin(), slotSet.end());
-
-    if (expr::fusedEvalDefault()) {
-        for (const auto &[pid, members] : index_) {
-            expr::FusedProgram &fp = fused_[pid];
-            for (const auto &[ai, mi] : members)
-                fp.add(compiled_[ai][mi]);
-            fp.seal();
         }
     }
 }
@@ -130,13 +116,7 @@ AssertionMonitor::AssertionMonitor(
 void
 AssertionMonitor::record(const trace::Record &rec)
 {
-    const auto *members = set_->membersAt(rec.point.id());
-    if (!members)
-        return;
-    for (const auto &[ai, mi] : *members) {
-        if (!set_->compiled(ai, mi).holdsRecord(rec))
-            fired_.push_back(FiredEvent{ai, rec.index, rec.point});
-    }
+    set_->check(rec, [this](const FiredEvent &e) { fired_.push_back(e); });
 }
 
 std::vector<size_t>

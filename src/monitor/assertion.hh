@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "expr/compile.hh"
-#include "expr/fused.hh"
 #include "invgen/invgen.hh"
 #include "trace/record.hh"
 
@@ -80,6 +79,8 @@ struct FiredEvent
  * from the members. Immutable after construction, so one instance is
  * safely shared — without copies — between a sequential
  * AssertionMonitor and every worker shard of a monitor::CheckService.
+ * Both check records through check(), so their firings agree by
+ * construction.
  */
 class CompiledAssertionSet
 {
@@ -89,12 +90,6 @@ class CompiledAssertionSet
     const std::vector<Assertion> &assertions() const
     {
         return assertions_;
-    }
-
-    /** Compiled program for assertions()[ai].members[mi]. */
-    const expr::CompiledInvariant &compiled(size_t ai, size_t mi) const
-    {
-        return compiled_[ai][mi];
     }
 
     /**
@@ -109,26 +104,25 @@ class CompiledAssertionSet
         return it == index_.end() ? nullptr : &it->second;
     }
 
-    /** Every watched point id (columnar batch filter). */
+    /** Every watched point id. */
     const std::set<uint16_t> &points() const { return points_; }
 
-    /** Union of value slots read by any member program. */
-    const std::vector<uint16_t> &slots() const { return slots_; }
-
-    /** Total member count across all assertions. */
-    size_t memberCount() const { return memberCount_; }
-
     /**
-     * The point's enforced members as one fused batch program —
-     * member m is membersAt(pointId)[m] — or null when fused
-     * evaluation (expr::fusedEvalDefault()) was off at construction.
-     * Its masks are bit-identical to the per-member evalMask()
-     * output, so a columnar batch sweep reduces to the same firings.
+     * Check one record: call @p fire with a FiredEvent for every
+     * member enforced at the record's point that the record
+     * violates, in membersAt() order.
      */
-    const expr::FusedProgram *fusedAt(uint16_t pointId) const
+    template <typename Fire>
+    void
+    check(const trace::Record &rec, Fire &&fire) const
     {
-        auto it = fused_.find(pointId);
-        return it == fused_.end() ? nullptr : &it->second;
+        const auto *members = membersAt(rec.point.id());
+        if (members == nullptr)
+            return;
+        for (const auto &[ai, mi] : *members) {
+            if (!compiled_[ai][mi].holdsRecord(rec))
+                fire(FiredEvent{ai, rec.index, rec.point});
+        }
     }
 
   private:
@@ -138,10 +132,6 @@ class CompiledAssertionSet
     /** point id -> list of (assertion index, member index). */
     std::map<uint16_t, std::vector<std::pair<size_t, size_t>>> index_;
     std::set<uint16_t> points_;
-    std::vector<uint16_t> slots_;
-    /** point id -> fused member program (when enabled). */
-    std::map<uint16_t, expr::FusedProgram> fused_;
-    size_t memberCount_ = 0;
 };
 
 /**

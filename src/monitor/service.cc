@@ -1,12 +1,17 @@
 #include "service.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "support/strings.hh"
-#include "trace/columns.hh"
 
 namespace scif::monitor {
+
+SessionError::SessionError(uint64_t session, const std::string &why)
+    : std::runtime_error(format("session %llu: %s",
+                                (unsigned long long)session,
+                                why.c_str())),
+      session_(session)
+{}
 
 std::string
 SessionReport::render(const std::vector<Assertion> &assertions) const
@@ -114,9 +119,8 @@ CheckService::~CheckService()
 void
 CheckService::shutdown()
 {
-    if (stopped_)
+    if (stopped_.exchange(true))
         return;
-    stopped_ = true;
     for (auto &sh : shards_)
         sh->queue.close();
     for (auto &sh : shards_) {
@@ -135,6 +139,10 @@ CheckService::open(std::string name)
     s->doneFuture = s->done.get_future();
     std::lock_guard<std::mutex> lock(sessionsMutex_);
     s->id = nextId_++;
+    if (stopped_) {
+        throw SessionError(s->id, "cannot open '" + s->report.session +
+                                      "': the service is shut down");
+    }
     s->shard = s->id % shards_.size();
     SessionId id = s->id;
     sessions_.emplace(id, std::move(s));
@@ -147,7 +155,11 @@ CheckService::find(SessionId id) const
 {
     std::lock_guard<std::mutex> lock(sessionsMutex_);
     auto it = sessions_.find(id);
-    assert(it != sessions_.end() && "unknown or closed session");
+    if (it == sessions_.end())
+        throw SessionError(id, id < nextId_ ? "already closed"
+                                            : "never opened");
+    if (stopped_)
+        throw SessionError(id, "the service is shut down");
     return it->second.get();
 }
 
@@ -162,7 +174,10 @@ CheckService::flush(Session &s, bool last)
     b.last = last;
     s.staging.clear();
     s.staging.reserve(config_.batchRecords);
-    shards_[s.shard]->queue.push(std::move(b));
+    // A shutdown() racing this call closes the queue under us; the
+    // batch is then dropped and its session can never complete.
+    if (!shards_[s.shard]->queue.push(std::move(b)))
+        throw SessionError(s.id, "the service is shut down");
 }
 
 void
@@ -242,112 +257,20 @@ CheckService::workerLoop(size_t shardIndex)
 void
 CheckService::processBatch(Session &s, const trace::TraceBuffer &batch)
 {
-    const std::vector<trace::Record> &recs = batch.records();
     SessionReport &r = s.report;
-    r.events += recs.size();
-    if (recs.empty() || set_->points().empty())
-        return;
-
-    uint64_t batchFirings = 0;
-
-    // Tiny batches (and sets with no value columns to materialize)
-    // take the scalar path — it is the reference order by
-    // construction, so the columnar path below only has to reduce
-    // back to it.
-    if (recs.size() < config_.scalarBelow || set_->slots().empty()) {
-        for (const auto &rec : recs) {
-            const auto *members = set_->membersAt(rec.point.id());
-            if (!members)
-                continue;
-            for (const auto &[ai, mi] : *members) {
-                if (!set_->compiled(ai, mi).holdsRecord(rec)) {
-                    ++r.perAssertion[ai];
-                    ++r.firings;
-                    ++batchFirings;
-                    if (!r.hasFirst) {
-                        r.hasFirst = true;
-                        r.first = FiredEvent{ai, rec.index, rec.point};
-                    }
-                }
+    r.events += batch.size();
+    uint64_t before = r.firings;
+    for (const trace::Record &rec : batch.records()) {
+        set_->check(rec, [&r](const FiredEvent &e) {
+            ++r.perAssertion[e.assertion];
+            ++r.firings;
+            if (!r.hasFirst) {
+                r.hasFirst = true;
+                r.first = e;
             }
-        }
-        firings_.fetch_add(batchFirings, std::memory_order_relaxed);
-        return;
+        });
     }
-
-    // Columnar path. Row i of a point's matrix is the i-th batch
-    // record observed at that point, so one linear scan recovers the
-    // row -> batch position mapping.
-    std::map<uint16_t, std::vector<uint32_t>> positions;
-    bool anyWatched = false;
-    for (size_t i = 0; i < recs.size(); ++i) {
-        uint16_t pid = recs[i].point.id();
-        if (set_->membersAt(pid)) {
-            positions[pid].push_back(uint32_t(i));
-            anyWatched = true;
-        }
-    }
-    if (!anyWatched)
-        return;
-
-    auto cols = trace::ColumnSet::build(batch, set_->slots(),
-                                        &set_->points());
-
-    // First-firing candidate: min (batch position, assertion,
-    // member) — exactly the first event the sequential record-order
-    // scan would have pushed.
-    bool haveCand = false;
-    size_t candPos = 0, candAi = 0, candMi = 0;
-
-    std::vector<uint8_t> mask;
-    for (auto &pc : cols.points()) {
-        const auto &rows = positions[pc.point().id()];
-        const auto *members = set_->membersAt(pc.point().id());
-        // With a fused program the point's matrix is traversed once
-        // for every member; the masks are bit-identical to the
-        // per-member kernels, so the reduction below — and therefore
-        // the report — cannot tell the difference.
-        const expr::FusedProgram *fp =
-            set_->fusedAt(pc.point().id());
-        if (fp != nullptr) {
-            mask.resize(members->size() * pc.rows());
-            fp->evalMasks(pc, 0, pc.rows(), mask.data(), pc.rows());
-        }
-        for (size_t m = 0; m < members->size(); ++m) {
-            const auto &[ai, mi] = (*members)[m];
-            const uint8_t *memberMask;
-            if (fp != nullptr) {
-                memberMask = mask.data() + m * pc.rows();
-            } else {
-                mask.resize(pc.rows());
-                set_->compiled(ai, mi).evalMask(pc, 0, pc.rows(),
-                                                mask.data());
-                memberMask = mask.data();
-            }
-            for (size_t row = 0; row < rows.size(); ++row) {
-                if (memberMask[row])
-                    continue;
-                ++r.perAssertion[ai];
-                ++r.firings;
-                ++batchFirings;
-                size_t pos = rows[row];
-                if (!haveCand ||
-                    std::tie(pos, ai, mi) <
-                        std::tie(candPos, candAi, candMi)) {
-                    haveCand = true;
-                    candPos = pos;
-                    candAi = ai;
-                    candMi = mi;
-                }
-            }
-        }
-    }
-    if (haveCand && !r.hasFirst) {
-        const trace::Record &rec = recs[candPos];
-        r.hasFirst = true;
-        r.first = FiredEvent{candAi, rec.index, rec.point};
-    }
-    firings_.fetch_add(batchFirings, std::memory_order_relaxed);
+    firings_.fetch_add(r.firings - before, std::memory_order_relaxed);
 }
 
 ServiceTelemetry

@@ -17,18 +17,16 @@
  *  - clients stage records into per-session micro-batches of
  *    `batchRecords` events, so queue traffic is thousands of
  *    operations per second, not millions;
- *  - the shard worker transposes each micro-batch into columnar
- *    matrices (trace/columns) restricted to the watched points and
- *    the slot union of the deployed set, and sweeps the compiled
- *    register-machine kernels (expr/compile) over the columns; tiny
- *    batches take the scalar holdsRecord path instead.
+ *  - the shard worker checks each micro-batch record by record with
+ *    CompiledAssertionSet::check — the loop AssertionMonitor::record
+ *    runs — over the compiled register-machine kernels
+ *    (expr/compile).
  *
  * Determinism: a session's events are checked in stream order by
- * exactly one worker (queues are FIFO, one consumer per shard), and
- * the per-batch columnar sweep reduces firings back to the sequential
- * order (record position, then (assertion, member) ascending) — so a
- * SessionReport is byte-identical to the sequential AssertionMonitor
- * on the same stream, for any shard count. tests/service_test.cc
+ * exactly one worker (queues are FIFO, one consumer per shard) with
+ * the sequential monitor's own per-record check, so a SessionReport
+ * is byte-identical to the sequential AssertionMonitor on the same
+ * stream, for any shard count and batch size. tests/service_test.cc
  * pins this.
  */
 
@@ -41,6 +39,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,8 +60,23 @@ struct ServiceConfig
     size_t queueBatches = 64;
     /** Micro-batch size, in records. */
     size_t batchRecords = 256;
-    /** Batches smaller than this take the scalar kernel path. */
-    size_t scalarBelow = 32;
+};
+
+/**
+ * A session call the service cannot honour: the session id is
+ * unknown or already closed, or the service has shut down. The
+ * message names the session id.
+ */
+class SessionError : public std::runtime_error
+{
+  public:
+    SessionError(uint64_t session, const std::string &why);
+
+    /** The session id the failed call named. */
+    uint64_t session() const { return session_; }
+
+  private:
+    uint64_t session_;
 };
 
 /**
@@ -117,7 +131,9 @@ struct ServiceTelemetry
  * close() and post() on *different* sessions may run concurrently
  * from any threads; a single session is fed by one client thread at
  * a time (its staging buffer is not locked). All sessions must be
- * closed before the service is destroyed.
+ * closed before the service is destroyed. open(), post() and close()
+ * throw SessionError for an unknown or closed session and once the
+ * service has shut down.
  */
 class CheckService
 {
@@ -137,7 +153,9 @@ class CheckService
     size_t shards() const { return shards_.size(); }
     const ServiceConfig &config() const { return config_; }
 
-    /** Start a session; the name keys its report. */
+    /** Start a session; the name keys its report. Throws
+     *  SessionError after shutdown(), naming the id it would have
+     *  had. */
     SessionId open(std::string name);
 
     /** Feed one event into a session (staged, batched internally). */
@@ -174,6 +192,7 @@ class CheckService
     };
     struct Shard;
 
+    /** The open session @p id; throws SessionError otherwise. */
     Session *find(SessionId id) const;
     void flush(Session &s, bool last);
     void workerLoop(size_t shardIndex);
@@ -191,7 +210,7 @@ class CheckService
     std::atomic<uint64_t> closed_{0};
     std::atomic<uint64_t> firings_{0};
     std::chrono::steady_clock::time_point start_;
-    bool stopped_ = false;
+    std::atomic<bool> stopped_{false};
 };
 
 /**

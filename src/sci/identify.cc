@@ -22,15 +22,6 @@ CompiledModel::CompiledModel(const invgen::InvariantSet &set)
         points_.insert(inv.point.id());
     }
     slots_.assign(slots.begin(), slots.end());
-
-    if (expr::fusedEvalDefault()) {
-        for (uint16_t pid : points_) {
-            expr::FusedProgram &fp = fused_[pid];
-            for (size_t idx : set.atPoint(pid))
-                fp.add(programs_[idx]);
-            fp.seal();
-        }
-    }
 }
 
 std::vector<size_t>
@@ -44,24 +35,7 @@ findViolations(const CompiledModel &model,
 
     std::set<size_t> violated;
     for (const auto &pc : cols.points()) {
-        const std::vector<size_t> &idxs =
-            model.set().atPoint(pc.point().id());
-        const expr::FusedProgram *fp =
-            model.fusedAt(pc.point().id());
-        if (fp != nullptr) {
-            // One traversal of the point's columns for all its
-            // invariants; a member's violation verdict is the same
-            // "does a violating row exist" answer firstViolation()
-            // gives, so the violated set is identical.
-            std::vector<size_t> firstBad(fp->members());
-            fp->sweepViolations(pc, 0, pc.rows(), firstBad.data());
-            for (size_t m = 0; m < firstBad.size(); ++m) {
-                if (firstBad[m] != expr::FusedProgram::npos)
-                    violated.insert(idxs[m]);
-            }
-            continue;
-        }
-        for (size_t idx : idxs) {
+        for (size_t idx : model.set().atPoint(pc.point().id())) {
             if (model.programs()[idx].firstViolation(pc, 0,
                                                      pc.rows()) !=
                 expr::CompiledInvariant::npos) {
@@ -82,9 +56,6 @@ findViolations(const CompiledModel &model,
 
     // Invariant-major sweep in the given priority order; the violated
     // set — and therefore the returned vector — is order independent.
-    // The whole purpose of this overload is running the statically
-    // implicated checks first, so it keeps the per-invariant kernels:
-    // fusing a point's members would erase the priority within it.
     std::set<size_t> violated;
     for (size_t idx : order) {
         const expr::Invariant &inv = model.set().all()[idx];

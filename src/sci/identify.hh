@@ -26,7 +26,6 @@
 
 #include "bugs/registry.hh"
 #include "expr/compile.hh"
-#include "expr/fused.hh"
 #include "invgen/invgen.hh"
 
 namespace scif::support {
@@ -49,12 +48,6 @@ enum class EvalMode { Compiled, Interpreted };
  * materialization list (exactly the slots the model references) and
  * the covered program points. Build once, share read-only across the
  * per-bug / per-trace fan-outs.
- *
- * When fused evaluation is enabled (expr::fusedEvalDefault() at
- * construction), the model additionally fuses each point's programs
- * into one expr::FusedProgram — in atPoint() order — so a violation
- * scan traverses a point's columns once for all its invariants
- * instead of once per invariant.
  */
 class CompiledModel
 {
@@ -71,24 +64,11 @@ class CompiledModel
     /** Point ids with at least one invariant. */
     const std::set<uint16_t> &points() const { return points_; }
 
-    /**
-     * The point's invariants as one fused batch program (member m is
-     * the m-th index of set().atPoint(pointId)), or null when fused
-     * evaluation was disabled at construction. Sweeping it yields
-     * exactly the per-program firstViolation() outcomes.
-     */
-    const expr::FusedProgram *fusedAt(uint16_t pointId) const
-    {
-        auto it = fused_.find(pointId);
-        return it == fused_.end() ? nullptr : &it->second;
-    }
-
   private:
     const invgen::InvariantSet *set_;
     std::vector<expr::CompiledInvariant> programs_;
     std::vector<uint16_t> slots_;
     std::set<uint16_t> points_;
-    std::map<uint16_t, expr::FusedProgram> fused_;
 };
 
 /**

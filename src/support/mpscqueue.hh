@@ -43,9 +43,11 @@ class BoundedMpscQueue
 
     /**
      * Enqueue one item, blocking while the queue is full
-     * (backpressure). Items pushed after close() are dropped.
+     * (backpressure).
+     *
+     * @return false, with the item dropped, once close() has run.
      */
-    void
+    bool
     push(T item)
     {
         {
@@ -54,11 +56,12 @@ class BoundedMpscQueue
                 return items_.size() < capacity_ || closed_;
             });
             if (closed_)
-                return;
+                return false;
             items_.push_back(std::move(item));
             highWater_ = std::max(highWater_, items_.size());
         }
         notEmpty_.notify_one();
+        return true;
     }
 
     /**

@@ -105,14 +105,7 @@ usage()
         "                 front end instead of the predecoded block "
         "cache\n"
         "                 with capture-time columns; same "
-        "artifacts),\n"
-        "                 --no-chain (keep the block cache but "
-        "disable\n"
-        "                 superblock chaining; same artifacts),\n"
-        "                 --no-fused-eval (evaluate invariants "
-        "one\n"
-        "                 kernel at a time instead of fused batch\n"
-        "                 programs; same artifacts)\n"
+        "artifacts)\n"
         "\n"
         "testing:\n"
         "  fuzz      [opts] [--seed S] [--count N] "
@@ -258,16 +251,6 @@ parseCommon(std::vector<std::string> &args, CommonOpts &opts)
             opts.interpretedEval = true;
         } else if (arg == "--interpreted-sim") {
             opts.interpretedSim = true;
-        } else if (arg == "--no-chain") {
-            // Process-wide: every simulation this invocation runs
-            // uses the plain (unchained) block-cache dispatch.
-            cpu::setChainDefault(false);
-        } else if (arg == "--no-fused-eval") {
-            // Process-wide: generation falsification, identification
-            // scans and the checking service all fall back to the
-            // per-invariant kernels (the differential oracle for the
-            // fused batch programs). Artifacts are byte-identical.
-            expr::setFusedEvalDefault(false);
         } else {
             rest.push_back(arg);
         }
@@ -844,9 +827,6 @@ cmdGeneratePhase(const CommonOpts &opts,
                 "%zu raw invariants\n",
                 count, (unsigned long long)records,
                 (unsigned long long)stats.points, model.size());
-    if (stats.candidatesDeduped != 0)
-        std::printf("%llu structurally duplicate candidates fused\n",
-                    (unsigned long long)stats.candidatesDeduped);
     std::printf("wrote %s and %s\n", paths.traces().c_str(),
                 paths.rawModel().c_str());
     return 0;
@@ -900,9 +880,6 @@ cmdGenerate(const std::vector<std::string> &args_in)
                 "optimization\n",
                 (unsigned long long)stats.points,
                 optStats[0].invariantsBefore, set.size());
-    if (stats.candidatesDeduped != 0)
-        std::printf("%llu structurally duplicate candidates fused\n",
-                    (unsigned long long)stats.candidatesDeduped);
     if (!outPath.empty()) {
         set.saveText(outPath);
         std::printf("wrote the invariant model to %s\n",
@@ -1344,30 +1321,13 @@ cmdRun(const std::vector<std::string> &args_in)
                 overhead.powerPct);
     for (const auto &stage : r.stages) {
         std::printf("stage %-21s %8.2fs  %llu -> %llu items  "
-                    "rss %llu KiB  traces-resident %llu KiB",
+                    "rss %llu KiB  traces-resident %llu KiB\n",
                     stage.name.c_str(), stage.seconds,
                     (unsigned long long)stage.itemsIn,
                     (unsigned long long)stage.itemsOut,
                     (unsigned long long)stage.maxRssKb,
                     (unsigned long long)(stage.traceResidentPeak /
                                          1024));
-        if (stage.chainHits != 0 || stage.chainSevers != 0 ||
-            stage.cacheFallbacks != 0) {
-            std::printf("  chain-hits %llu  chain-severs %llu  "
-                        "fallbacks %llu",
-                        (unsigned long long)stage.chainHits,
-                        (unsigned long long)stage.chainSevers,
-                        (unsigned long long)stage.cacheFallbacks);
-        }
-        if (stage.fusedMembers != 0) {
-            std::printf("  fused %llu  deduped %llu  retired %llu  "
-                        "compactions %llu",
-                        (unsigned long long)stage.fusedMembers,
-                        (unsigned long long)stage.fusedDeduped,
-                        (unsigned long long)stage.fusedRetired,
-                        (unsigned long long)stage.fusedCompactions);
-        }
-        std::printf("\n");
     }
     if (!opts.artifactDir.empty())
         std::printf("artifacts:   %s\n", opts.artifactDir.c_str());

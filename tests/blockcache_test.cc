@@ -155,57 +155,13 @@ TEST(Smc, StoreIntoCachedDelaySlot)
     EXPECT_GE(m.cached->cacheStats()->invalidations, 1u);
 }
 
-// --- superblock chaining ---
-
-TEST(Chain, LoopLinksAndFollows)
+TEST(Smc, StoreIntoNextBlock)
 {
-    // A two-block loop: the head's fallthrough and the body's
-    // back-jump both become chain links, and later iterations follow
-    // them without a cache lookup.
-    Program p = assembleOrDie(prog(R"(
-        l.addi  r2, r0, 0
-    loop:
-        l.addi  r2, r2, 1
-        l.sfeqi r2, 5
-        l.bf    done
-        l.nop   0
-        l.addi  r5, r5, 10
-        l.j     loop
-        l.nop   0
-    done:
-        l.nop   0x0
-    )"));
-
-    BothModes m(p);
-    EXPECT_EQ(m.cached->gpr(5), 40u);
-    const BlockCache::Stats &stats = *m.cached->cacheStats();
-    EXPECT_GE(stats.chainLinks, 2u);
-    EXPECT_GE(stats.chainHits, 2u);
-    EXPECT_EQ(stats.chainSevers, 0u);
-
-    // The unchained block cache must behave identically, just without
-    // ever installing a link.
-    CpuConfig unchained;
-    unchained.predecode = true;
-    unchained.chain = false;
-    Cpu plain(unchained);
-    plain.loadProgram(p);
-    trace::TraceBuffer plainTrace;
-    RunResult r = plain.run(&plainTrace);
-    EXPECT_EQ(r.reason, m.cachedResult.reason);
-    EXPECT_EQ(r.instructions, m.cachedResult.instructions);
-    expectSameTrace(plainTrace, m.cachedTrace);
-    EXPECT_EQ(plain.cacheStats()->chainLinks, 0u);
-    EXPECT_EQ(plain.cacheStats()->chainHits, 0u);
-}
-
-TEST(Chain, StoreIntoChainedSuccessorSevers)
-{
-    // The loop head (ending at the bf) chains to the body block at
-    // 0x120; the head's store patches the body's first word on every
-    // iteration. The invalidation must sever the installed links and
-    // the rebuilt body must execute the patched instruction — with a
-    // trace byte-identical to the interpreted oracle.
+    // The loop head (ending at the bf) falls through to the body
+    // block at 0x120; the head's store patches the body's first word
+    // on every iteration. The rebuilt body must execute the patched
+    // instruction, with a trace byte-identical to the interpreted
+    // oracle.
     uint32_t patch = encodeInsn("l.addi r5, r5, 100");
     Program p = assembleOrDie(
         ".org 0x100\n" + materialize(1, patch) + R"(
@@ -229,10 +185,38 @@ TEST(Chain, StoreIntoChainedSuccessorSevers)
     // execution (iterations 1 and 2; iteration 3 branches out) adds
     // the patched 100.
     EXPECT_EQ(m.cached->gpr(5), 200u);
+    EXPECT_GE(m.cached->cacheStats()->invalidations, 1u);
+}
+
+// --- block dispatch ---
+
+TEST(Dispatch, LoopReentersCachedBlocks)
+{
+    // A two-block loop: every iteration after the first re-enters
+    // the head and body blocks through the cache lookup, without
+    // decoding them again.
+    Program p = assembleOrDie(prog(R"(
+        l.addi  r2, r0, 0
+    loop:
+        l.addi  r2, r2, 1
+        l.sfeqi r2, 5
+        l.bf    done
+        l.nop   0
+        l.addi  r5, r5, 10
+        l.j     loop
+        l.nop   0
+    done:
+        l.nop   0x0
+    )"));
+
+    BothModes m(p);
+    EXPECT_EQ(m.cached->gpr(5), 40u);
     const BlockCache::Stats &stats = *m.cached->cacheStats();
-    EXPECT_GE(stats.invalidations, 1u);
-    EXPECT_GE(stats.chainSevers, 1u);
-    EXPECT_GE(stats.chainLinks, 1u);
+    // Entry block, loop head, body and exit: four decodes for five
+    // iterations.
+    EXPECT_EQ(stats.builds, 4u);
+    EXPECT_EQ(stats.invalidations, 0u);
+    EXPECT_EQ(stats.fallbacks, 0u);
 }
 
 // --- mutation-set keying ---

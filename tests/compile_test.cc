@@ -114,17 +114,12 @@ TEST(Compile, FuzzedDifferentialAgainstInterpreter)
         CompiledInvariant prog = CompiledInvariant::compile(inv);
         ASSERT_TRUE(prog.compatible(*pc));
 
-        // Scalar kernel == oracle, record for record; and the batch
-        // mask agrees with both.
-        uint8_t mask[numRecords];
-        prog.evalMask(*pc, 0, numRecords, mask);
+        // Scalar kernel == oracle, record for record.
         size_t firstFalse = CompiledInvariant::npos;
         for (size_t i = 0; i < numRecords; ++i) {
             bool oracle = inv.exprHolds(buf.records()[i]);
             ASSERT_EQ(prog.holdsRecord(buf.records()[i]), oracle)
                 << inv.str() << " @ record " << i;
-            ASSERT_EQ(mask[i] != 0, oracle)
-                << inv.str() << " @ row " << i;
             if (!oracle && firstFalse == CompiledInvariant::npos)
                 firstFalse = i;
         }
@@ -144,8 +139,8 @@ TEST(Compile, FuzzedDifferentialAgainstInterpreter)
 
 TEST(Compile, SlotsAreSortedAndDeduplicated)
 {
-    // slots() is an interface contract: fused-group column planning
-    // and ColumnSet::build(buf, slots) assume each referenced column
+    // slots() is an interface contract: the identification scan's
+    // ColumnSet::build(buf, slots) assumes each referenced column
     // appears once, in ascending order, however the expression
     // repeats or reorders its variable references.
     Invariant inv;

@@ -239,10 +239,10 @@ TEST(Corpus, MinimizedRegressionsStayConvergent)
 
 TEST(Corpus, FrontEndsAgreeOverCorpusAndGenerated)
 {
-    // Lockstep the three Cpu front ends — chained block cache,
-    // unchained block cache, interpreted — over the checked-in corpus
-    // plus a slice of generated programs: none may diverge from the
-    // reference, and all three traces must be byte-identical.
+    // Lockstep both Cpu front ends — predecoded block cache and
+    // interpreted — over the checked-in corpus plus a slice of
+    // generated programs: neither may diverge from the reference, and
+    // their traces must be byte-identical.
     std::vector<std::pair<std::string, assembler::Program>> programs;
     for (const auto &entry : fs::directory_iterator(
              SCIF_TEST_CORPUS_DIR)) {
@@ -262,49 +262,34 @@ TEST(Corpus, FrontEndsAgreeOverCorpusAndGenerated)
         programs.emplace_back(gp.name, assembleGenerated(gp));
     }
 
-    struct FrontEnd
-    {
-        const char *name;
-        bool predecode;
-        bool chain;
-    };
-    const FrontEnd frontEnds[] = {
-        {"chained", true, true},
-        {"unchained", true, false},
-        {"interpreted", false, false},
-    };
-
     for (const auto &[name, program] : programs) {
-        std::vector<trace::TraceBuffer> traces(3);
-        for (size_t f = 0; f < 3; ++f) {
+        trace::TraceBuffer traces[2];
+        for (bool predecode : {true, false}) {
+            const char *frontEnd =
+                predecode ? "predecoded" : "interpreted";
             DiffConfig dc;
             dc.memBytes = gc.memBytes;
-            dc.predecode = frontEnds[f].predecode;
-            dc.chain = frontEnds[f].chain;
+            dc.predecode = predecode;
             Divergence d = diffProgram(program, dc);
-            EXPECT_FALSE(d) << name << " (" << frontEnds[f].name
-                            << "): step " << d.step << ", " << d.what;
+            EXPECT_FALSE(d) << name << " (" << frontEnd << "): step "
+                            << d.step << ", " << d.what;
 
             cpu::CpuConfig cc;
             cc.memBytes = gc.memBytes;
-            cc.predecode = frontEnds[f].predecode;
-            cc.chain = frontEnds[f].chain;
+            cc.predecode = predecode;
             cpu::Cpu c(cc);
             c.loadProgram(program);
-            c.run(&traces[f]);
+            c.run(&traces[predecode ? 0 : 1]);
         }
-        for (size_t f = 1; f < 3; ++f) {
-            ASSERT_EQ(traces[f].size(), traces[0].size()) << name;
-            for (size_t i = 0; i < traces[0].size(); ++i) {
-                const trace::Record &a = traces[0].records()[i];
-                const trace::Record &b = traces[f].records()[i];
-                ASSERT_EQ(a.point.id(), b.point.id())
-                    << name << " record " << i;
-                ASSERT_EQ(a.index, b.index) << name << " record " << i;
-                ASSERT_EQ(a.fused, b.fused) << name << " record " << i;
-                ASSERT_EQ(a.pre, b.pre) << name << " record " << i;
-                ASSERT_EQ(a.post, b.post) << name << " record " << i;
-            }
+        ASSERT_EQ(traces[1].size(), traces[0].size()) << name;
+        for (size_t i = 0; i < traces[0].size(); ++i) {
+            const trace::Record &a = traces[0].records()[i];
+            const trace::Record &b = traces[1].records()[i];
+            ASSERT_EQ(a.point.id(), b.point.id()) << name << " record " << i;
+            ASSERT_EQ(a.index, b.index) << name << " record " << i;
+            ASSERT_EQ(a.fused, b.fused) << name << " record " << i;
+            ASSERT_EQ(a.pre, b.pre) << name << " record " << i;
+            ASSERT_EQ(a.post, b.post) << name << " record " << i;
         }
     }
 }

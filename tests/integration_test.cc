@@ -49,6 +49,29 @@ TEST(Pipeline, PhasesProduceOutput)
     EXPECT_GT(r.inference.semanticRecommended, 0u);
 }
 
+TEST(Pipeline, StageItemCountsAreTheProducedSets)
+{
+    // Each stage counts what it produced: the optimized model, the
+    // identified SCI and the inferred SCI. None of them returns a
+    // container of those items, so a default count would report the
+    // four optimization passes or one result struct instead.
+    const auto &r = pipeline();
+    ASSERT_EQ(r.stages.size(), 5u);
+    EXPECT_EQ(r.stages[1].name, "invariant-generation");
+    EXPECT_EQ(r.stages[1].itemsOut, 187607u);
+    EXPECT_EQ(r.stages[2].name, "optimization");
+    EXPECT_EQ(r.stages[2].itemsIn, 187607u);
+    EXPECT_EQ(r.stages[2].itemsOut, 34444u);
+    EXPECT_EQ(r.stages[3].name, "identification");
+    EXPECT_EQ(r.stages[3].itemsIn, 34444u);
+    EXPECT_EQ(r.stages[3].itemsOut, 266u);
+    EXPECT_EQ(r.stages[4].name, "inference");
+    EXPECT_EQ(r.stages[4].itemsOut, 22698u);
+    EXPECT_EQ(r.model.size(), 34444u);
+    EXPECT_EQ(r.identifiedSci().size(), 266u);
+    EXPECT_EQ(r.inference.inferredSci.size(), 22698u);
+}
+
 TEST(Pipeline, SixteenOfSeventeenBugsIdentified)
 {
     const auto &r = pipeline();

@@ -120,8 +120,12 @@ TEST(PipelineDeterminism, StageStatsRecorded)
     EXPECT_EQ(result.stages[1].name, "invariant-generation");
     EXPECT_EQ(result.stages[1].itemsIn, 3u);
     EXPECT_EQ(result.stages[2].name, "optimization");
+    EXPECT_EQ(result.stages[2].itemsOut, result.model.size());
     EXPECT_EQ(result.stages[3].name, "identification");
+    EXPECT_EQ(result.stages[3].itemsOut, result.identifiedSci().size());
     EXPECT_EQ(result.stages[4].name, "inference");
+    EXPECT_EQ(result.stages[4].itemsOut,
+              result.inference.inferredSci.size());
     for (const auto &s : result.stages)
         EXPECT_GE(s.seconds, 0.0);
 }

@@ -8,11 +8,17 @@
  * size, any client-thread interleaving, and under queue-full
  * backpressure. Also closes the fuzz-mode gap: fuzzer-generated
  * programs run under every Table 1 mutation must make the service
- * flag exactly what the single-trace monitor flags.
+ * flag exactly what the single-trace monitor flags. Session misuse —
+ * an unknown or closed id, or a call after shutdown — throws a
+ * SessionError naming the id instead of hanging or corrupting state.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <random>
 #include <thread>
 
@@ -111,9 +117,8 @@ TEST(Service, MatchesSequentialOnWorkloadsForAnyShardCount)
 
 TEST(Service, MatchesSequentialAcrossBatchGeometries)
 {
-    // Batch size selects the kernel: tiny batches take the scalar
-    // path, large ones the columnar sweep. Reports must not depend
-    // on the choice.
+    // Batch boundaries fall at different records for each size;
+    // reports must not depend on where they fall.
     auto set = paperScaleSet();
     trace::TraceBuffer trace =
         workloads::run(workloads::byName("vmlinux"));
@@ -232,48 +237,91 @@ TEST(Service, TriggerTracesMatchSequential)
     }
 }
 
-TEST(Service, FusedBatchPathMatchesPerMemberKernels)
+/** The SessionError @p call throws, or "no error". */
+template <typename Call>
+std::string
+sessionError(Call call, CheckService::SessionId expected)
 {
-    // The columnar batch path evaluates a point's members through one
-    // fused program; with --no-fused-eval it runs one kernel per
-    // member. Reports must be byte-identical either way, for any
-    // shard count, with the scalar threshold forced to zero so every
-    // micro-batch takes the columnar path.
-    ASSERT_TRUE(expr::fusedEvalDefault());
-    auto fusedSet = paperScaleSet();
-    expr::setFusedEvalDefault(false);
-    auto scalarSet = paperScaleSet();
-    expr::setFusedEvalDefault(true);
-    for (uint16_t pid : fusedSet->points())
-        ASSERT_NE(fusedSet->fusedAt(pid), nullptr);
-    for (uint16_t pid : scalarSet->points())
-        ASSERT_EQ(scalarSet->fusedAt(pid), nullptr);
+    try {
+        call();
+    } catch (const SessionError &e) {
+        EXPECT_EQ(e.session(), expected);
+        return e.what();
+    }
+    return "no error";
+}
 
-    std::vector<trace::TraceBuffer> traces;
-    std::vector<std::string> names;
-    for (const auto &w : workloads::all()) {
-        names.push_back(w.name);
-        traces.push_back(workloads::run(w));
-    }
-    for (const bugs::Bug *bug : bugs::table1()) {
-        names.push_back(bug->id);
-        traces.push_back(bugs::runTrigger(*bug, true));
-    }
+TEST(Service, PostAfterCloseThrowsNamingTheSession)
+{
+    auto set = paperScaleSet();
+    CheckService service(set);
+    trace::TraceBuffer trace =
+        workloads::run(workloads::byName("vmlinux"));
+    CheckService::SessionId id = service.open("done");
+    service.post(id, trace.records().data(), 8);
+    service.close(id);
 
-    for (size_t shards : {size_t(1), size_t(3)}) {
-        ServiceConfig config;
-        config.shards = shards;
-        config.scalarBelow = 0;
-        CheckService fused(fusedSet, config);
-        CheckService scalar(scalarSet, config);
-        for (size_t i = 0; i < traces.size(); ++i) {
-            SessionReport a = fused.check(names[i], traces[i]);
-            SessionReport b = scalar.check(names[i], traces[i]);
-            EXPECT_EQ(a.render(fusedSet->assertions()),
-                      b.render(scalarSet->assertions()))
-                << names[i] << " with " << shards << " shards";
-        }
+    EXPECT_EQ(sessionError([&] { service.post(id, trace.records()[0]); },
+                           id),
+              "session " + std::to_string(id) + ": already closed");
+    EXPECT_EQ(sessionError([&] { service.post(id + 7, trace.records()[0]); },
+                           id + 7),
+              "session " + std::to_string(id + 7) + ": never opened");
+    // The service keeps serving other sessions.
+    EXPECT_EQ(service.check("vmlinux", trace).render(set->assertions()),
+              sequentialRender(set, "vmlinux", trace));
+}
+
+TEST(Service, DoubleCloseThrows)
+{
+    auto set = paperScaleSet();
+    CheckService service(set);
+    CheckService::SessionId id = service.open("twice");
+    SessionReport r = service.close(id);
+    EXPECT_EQ(r.render(set->assertions()),
+              "session twice: 0 events, clean\n");
+    EXPECT_EQ(sessionError([&] { service.close(id); }, id),
+              "session " + std::to_string(id) + ": already closed");
+}
+
+TEST(Service, CloseAfterShutdownThrowsInsteadOfHanging)
+{
+    auto set = paperScaleSet();
+    CheckService service(set);
+    trace::TraceBuffer trace =
+        workloads::run(workloads::byName("vmlinux"));
+    CheckService::SessionId id = service.open("late");
+    service.post(id, trace.records().data(), trace.size());
+    service.shutdown();
+
+    // A close() whose final batch the closed queue dropped would
+    // wait for ever. Run it on a helper thread so a regression fails
+    // here instead of hanging the suite.
+    std::future<std::string> closing =
+        std::async(std::launch::async, [&service, id] {
+            try {
+                service.close(id);
+            } catch (const SessionError &e) {
+                return std::string(e.what());
+            }
+            return std::string("no error");
+        });
+    if (closing.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+        // A hung close() can never be joined: end the run here.
+        ADD_FAILURE() << "close() after shutdown() did not return";
+        std::fflush(stdout);
+        std::abort();
     }
+    std::string expected =
+        "session " + std::to_string(id) + ": the service is shut down";
+    EXPECT_EQ(closing.get(), expected);
+    EXPECT_EQ(sessionError([&] { service.post(id, trace.records()[0]); },
+                           id),
+              expected);
+    EXPECT_EQ(sessionError([&] { service.open("later"); }, id + 1),
+              "session " + std::to_string(id + 1) +
+                  ": cannot open 'later': the service is shut down");
 }
 
 TEST(MpscQueue, BackpressureBoundsDepth)
