@@ -114,6 +114,15 @@ struct MatchCase
     const char *property;
 };
 
+// Without a printer gtest names each case by the raw bytes of its two
+// pointers, which differ on every run under ASLR; print the property
+// id so the listed test names stay the same from build to build.
+void
+PrintTo(const MatchCase &c, std::ostream *os)
+{
+    *os << c.property;
+}
+
 class Matchers : public ::testing::TestWithParam<MatchCase>
 {
 };
