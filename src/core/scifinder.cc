@@ -100,26 +100,29 @@ runPipeline(const PipelineConfig &config)
     // seal compressed chunks into the v2 trace set as they simulate,
     // and invariant generation folds the chunks back a window at a
     // time. All paths produce byte-identical artifacts and models.
-    PipelineConfig cfg = config;
+    //
+    // The trace stages take the resolved workload list as input, so
+    // they count workloads in and traces out.
+    using WorkloadList = std::vector<const workloads::Workload *>;
+    WorkloadList workloadList = resolveWorkloads(config);
     if (persist) {
         // -- phase 1a: out-of-core trace generation (per workload) --
-        Stage<PipelineConfig, std::vector<uint64_t>> traceStage(
+        Stage<WorkloadList, std::vector<uint64_t>> traceStage(
             "trace-generation",
-            [&paths](StageContext &sc, PipelineConfig &c) {
-                auto list = resolveWorkloads(c);
+            [&config, &paths](StageContext &sc, WorkloadList &list) {
                 std::vector<std::string> names;
                 names.reserve(list.size());
                 for (const auto *w : list)
                     names.push_back(w->name);
                 return trace::buildTraceSetParallel(
-                    paths.traces(), c.traceChunkRecords, names,
+                    paths.traces(), config.traceChunkRecords, names,
                     [&](size_t i, trace::TraceSink &sink) {
                         workloads::runInto(*list[i], {},
-                                           c.interpretedSim, &sink);
+                                           config.interpretedSim, &sink);
                     },
                     sc.pool());
             });
-        auto counts = traceStage.run(ctx, cfg);
+        auto counts = traceStage.run(ctx, workloadList);
         for (uint64_t n : counts) {
             result.traceRecords += n;
             result.traceBytes += n * sizeof(trace::Record);
@@ -128,19 +131,18 @@ runPipeline(const PipelineConfig &config)
         // -- phase 1b: streaming invariant generation --
         Stage<std::vector<uint64_t>, invgen::InvariantSet> genStage(
             "invariant-generation",
-            [&cfg, &paths](StageContext &sc, std::vector<uint64_t> &) {
+            [&config, &paths](StageContext &sc, std::vector<uint64_t> &) {
                 trace::TraceSetReader reader(paths.traces());
                 return invgen::generateStreaming(
-                    reader, cfg.generation, nullptr, sc.pool());
+                    reader, config.generation, nullptr, sc.pool());
             });
         result.model = genStage.run(ctx, counts);
     } else if (config.interpretedSim) {
         // -- phase 1a: trace generation (fans out per workload) --
-        Stage<PipelineConfig, std::vector<trace::NamedTrace>>
+        Stage<WorkloadList, std::vector<trace::NamedTrace>>
             traceStage(
                 "trace-generation",
-                [](StageContext &sc, PipelineConfig &c) {
-                    auto list = resolveWorkloads(c);
+                [](StageContext &sc, WorkloadList &list) {
                     return support::parallelMap(
                         sc.pool(), list,
                         [](const workloads::Workload *w) {
@@ -150,7 +152,7 @@ runPipeline(const PipelineConfig &config)
                                                /*interpreted=*/true)};
                         });
                 });
-        auto traces = traceStage.run(ctx, cfg);
+        auto traces = traceStage.run(ctx, workloadList);
         for (const auto &nt : traces) {
             result.traceRecords += nt.trace.size();
             result.traceBytes +=
@@ -160,22 +162,21 @@ runPipeline(const PipelineConfig &config)
         // -- phase 1b: invariant generation (fans out per point) --
         Stage<std::vector<trace::NamedTrace>, invgen::InvariantSet>
             genStage("invariant-generation",
-                     [&cfg](StageContext &sc,
-                            std::vector<trace::NamedTrace> &in) {
+                     [&config](StageContext &sc,
+                               std::vector<trace::NamedTrace> &in) {
                          std::vector<const trace::TraceBuffer *> ptrs;
                          for (const auto &nt : in)
                              ptrs.push_back(&nt.trace);
-                         return invgen::generate(ptrs, cfg.generation,
+                         return invgen::generate(ptrs, config.generation,
                                                  nullptr, sc.pool());
                      });
         result.model = genStage.run(ctx, traces);
     } else {
         // -- phase 1a: columnar trace capture (per workload) --
-        Stage<PipelineConfig, std::vector<trace::NamedCapture>>
+        Stage<WorkloadList, std::vector<trace::NamedCapture>>
             traceStage(
                 "trace-generation",
-                [](StageContext &sc, PipelineConfig &c) {
-                    auto list = resolveWorkloads(c);
+                [](StageContext &sc, WorkloadList &list) {
                     return support::parallelMap(
                         sc.pool(), list,
                         [](const workloads::Workload *w) {
@@ -183,7 +184,7 @@ runPipeline(const PipelineConfig &config)
                                 w->name, workloads::runColumnar(*w)};
                         });
                 });
-        auto captures = traceStage.run(ctx, cfg);
+        auto captures = traceStage.run(ctx, workloadList);
         for (const auto &nc : captures) {
             result.traceRecords += nc.capture.size();
             result.traceBytes +=
@@ -194,15 +195,15 @@ runPipeline(const PipelineConfig &config)
         //    (the AoS-to-SoA transpose never happens) --
         Stage<std::vector<trace::NamedCapture>, invgen::InvariantSet>
             genStage("invariant-generation",
-                     [&cfg](StageContext &sc,
-                            std::vector<trace::NamedCapture> &in) {
+                     [&config](StageContext &sc,
+                               std::vector<trace::NamedCapture> &in) {
                          std::vector<const trace::ColumnarCapture *>
                              caps;
                          for (const auto &nc : in)
                              caps.push_back(&nc.capture);
                          return invgen::generate(
                              trace::ColumnarCapture::seal(caps),
-                             cfg.generation, nullptr, sc.pool());
+                             config.generation, nullptr, sc.pool());
                      });
         result.model = genStage.run(ctx, captures);
     }
@@ -233,8 +234,8 @@ runPipeline(const PipelineConfig &config)
     };
     Stage<invgen::InvariantSet, IdentOutput> identStage(
         "identification",
-        [&cfg, persist, &paths](StageContext &sc,
-                                invgen::InvariantSet &model) {
+        [&config, persist, &paths](StageContext &sc,
+                                   invgen::InvariantSet &model) {
             IdentOutput out;
             // Compile the model once for both the validation-corpus
             // scan and the per-bug identification sweeps.
@@ -246,22 +247,22 @@ runPipeline(const PipelineConfig &config)
                 // chunk at a time. Same violation set as the
                 // in-memory corpus scan.
                 workloads::validationCorpusToStore(
-                    paths.validation(), cfg.validationPrograms, 0x5eed,
-                    sc.pool(), cfg.interpretedSim,
-                    cfg.traceChunkRecords);
+                    paths.validation(), config.validationPrograms, 0x5eed,
+                    sc.pool(), config.interpretedSim,
+                    config.traceChunkRecords);
                 trace::TraceSetReader validation(paths.validation());
                 out.violations = sci::corpusViolations(
                     compiled, validation, sc.pool());
             } else {
                 auto validation = workloads::validationCorpus(
-                    cfg.validationPrograms, 0x5eed, sc.pool(),
-                    cfg.interpretedSim);
+                    config.validationPrograms, 0x5eed, sc.pool(),
+                    config.interpretedSim);
                 out.violations = sci::corpusViolations(
                     compiled, validation, sc.pool());
             }
-            out.db = sci::identifyAll(compiled, resolveBugs(cfg),
+            out.db = sci::identifyAll(compiled, resolveBugs(config),
                                       out.violations, sc.pool(),
-                                      cfg.interpretedSim);
+                                      config.interpretedSim);
             return out;
         },
         [](const auto &, const IdentOutput &out) {
@@ -279,11 +280,11 @@ runPipeline(const PipelineConfig &config)
     if (config.runInference) {
         Stage<invgen::InvariantSet, sci::InferenceResult> inferStage(
             "inference",
-            [&cfg, &result](StageContext &,
-                            invgen::InvariantSet &model) {
+            [&config, &result](StageContext &sc,
+                               invgen::InvariantSet &model) {
                 return sci::infer(model, result.database,
                                   result.validationViolations,
-                                  cfg.inference);
+                                  config.inference, sc.pool());
             },
             [](const auto &, const sci::InferenceResult &inferred) {
                 return uint64_t(inferred.inferredSci.size());

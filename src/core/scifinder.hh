@@ -58,7 +58,8 @@ struct PipelineConfig
 
     /**
      * Worker threads for the intra-stage fan-outs (per workload, per
-     * program point, per bug). 1 = serial; 0 = all hardware threads.
+     * program point, per bug, per cross-validation fold). 1 = serial;
+     * 0 = all hardware threads.
      * Every fan-out merges deterministically, so the results are
      * byte-identical for any value.
      */

@@ -7,10 +7,11 @@
  * runs inside a StageContext carrying the shared worker pool and
  * collecting per-stage wall-clock timing and item counters. Stages
  * fan their internal work out over the pool (per workload, per
- * program point, per bug) but every fan-out merges deterministically,
- * so a stage's output is a pure function of its input regardless of
- * the thread count — which is what makes the inter-stage artifacts
- * (see core/artifacts.hh) stable, cacheable phase boundaries.
+ * program point, per bug, per cross-validation fold) but every
+ * fan-out merges deterministically, so a stage's output is a pure
+ * function of its input regardless of the thread count — which is
+ * what makes the inter-stage artifacts (see core/artifacts.hh)
+ * stable, cacheable phase boundaries.
  */
 
 #ifndef SCIFINDER_CORE_STAGE_HH

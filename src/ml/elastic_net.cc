@@ -5,6 +5,7 @@
 
 #include "support/logging.hh"
 #include "support/random.hh"
+#include "support/threadpool.hh"
 
 namespace scif::ml {
 
@@ -30,80 +31,105 @@ sigmoid(double t)
     return 1.0 / (1.0 + std::exp(-t));
 }
 
+/** @return X transposed: row j holds column j of @p X. */
+Matrix
+transposed(const Matrix &X)
+{
+    Matrix t(X.cols(), X.rows());
+    for (size_t i = 0; i < X.rows(); ++i) {
+        for (size_t j = 0; j < X.cols(); ++j)
+            t.at(j, i) = X.at(i, j);
+    }
+    return t;
+}
+
 /**
  * One glmnet-style fit on *standardized* X at a fixed lambda,
  * warm-started from the supplied coefficients.
+ *
+ * @param Xt the design transposed (see transposed()), so coordinate
+ *        descent reads each feature's column contiguously.
+ *
+ * The weights w are fixed for one quadratic approximation, so
+ * w[i] * x[i][j] and each coordinate's denominator sum (w x) x are
+ * computed once per IRLS step rather than once per sweep. Every sum
+ * runs in ascending row order, so the coefficients are the same bits
+ * as when those terms are formed inside each sweep. A zero x[i][j]
+ * adds a signed zero, which leaves a sum unchanged, so no term is
+ * skipped.
  */
 void
-fitAtLambda(const Matrix &X, const std::vector<int> &y, double lambda,
+fitAtLambda(const Matrix &Xt, const std::vector<int> &y, double lambda,
             const ElasticNetConfig &cfg, std::vector<double> &beta,
             double &intercept)
 {
-    size_t n = X.rows(), p = X.cols();
-    SCIF_ASSERT(y.size() == n);
+    size_t p = Xt.rows(), n = Xt.cols();
+    SCIF_ASSERT(y.size() == n && beta.size() == p);
+    const double nw = double(n);
 
-    std::vector<double> eta(n, 0.0);
-    auto computeEta = [&]() {
-        for (size_t i = 0; i < n; ++i) {
-            double t = intercept;
-            const double *row = X.row(i);
-            for (size_t j = 0; j < p; ++j)
-                t += row[j] * beta[j];
-            eta[i] = t;
-        }
-    };
-
-    std::vector<double> w(n), z(n);
+    std::vector<double> eta(n), w(n), z(n), denom(p);
+    Matrix wx(p, n);
     for (int iter = 0; iter < cfg.maxIterations; ++iter) {
-        computeEta();
+        // eta = intercept + X beta, each row summed in ascending j.
+        std::fill(eta.begin(), eta.end(), intercept);
+        for (size_t j = 0; j < p; ++j) {
+            const double *x = Xt.row(j);
+            double bj = beta[j];
+            for (size_t i = 0; i < n; ++i)
+                eta[i] += x[i] * bj;
+        }
 
         // Quadratic approximation around the current estimate.
+        double wsum = 0.0;
         for (size_t i = 0; i < n; ++i) {
             double pi = sigmoid(eta[i]);
             double wi = std::max(pi * (1.0 - pi), 1e-5);
             w[i] = wi;
             z[i] = eta[i] + (double(y[i]) - pi) / wi;
+            wsum += wi;
+        }
+        for (size_t j = 0; j < p; ++j) {
+            const double *x = Xt.row(j);
+            double *wxj = wx.row(j);
+            double d = 0.0;
+            for (size_t i = 0; i < n; ++i) {
+                wxj[i] = w[i] * x[i];
+                d += wxj[i] * x[i];
+            }
+            denom[j] = d;
         }
 
-        // Cyclic coordinate descent on the penalized WLS problem.
+        // Cyclic coordinate descent on the penalized WLS problem;
+        // eta tracks the current working fit.
         double maxDelta = 0.0;
         for (int cd = 0; cd < 100; ++cd) {
             maxDelta = 0.0;
 
-            // Residual r_i = z_i - eta_i where eta tracks the
-            // current working fit.
             for (size_t j = 0; j < p; ++j) {
-                double num = 0.0, denom = 0.0;
-                for (size_t i = 0; i < n; ++i) {
-                    double xij = X.at(i, j);
-                    if (xij == 0.0)
-                        continue;
-                    double partial =
-                        z[i] - (eta[i] - xij * beta[j]);
-                    num += w[i] * xij * partial;
-                    denom += w[i] * xij * xij;
-                }
-                double nw = double(n);
+                const double *x = Xt.row(j);
+                const double *wxj = wx.row(j);
+                double bOld = beta[j];
+                double num = 0.0;
+                for (size_t i = 0; i < n; ++i)
+                    num += wxj[i] * (z[i] - (eta[i] - x[i] * bOld));
                 double bj = softThreshold(num / nw,
                                           lambda * cfg.alpha) /
-                            (denom / nw +
+                            (denom[j] / nw +
                              lambda * (1.0 - cfg.alpha));
-                double delta = bj - beta[j];
+                double delta = bj - bOld;
                 if (delta != 0.0) {
                     for (size_t i = 0; i < n; ++i)
-                        eta[i] += X.at(i, j) * delta;
+                        eta[i] += x[i] * delta;
                     beta[j] = bj;
                     maxDelta = std::max(maxDelta, std::fabs(delta));
                 }
             }
 
             // Intercept (unpenalized).
-            double num = 0.0, denom = 0.0;
-            for (size_t i = 0; i < n; ++i) {
+            double num = 0.0;
+            for (size_t i = 0; i < n; ++i)
                 num += w[i] * (z[i] - (eta[i] - intercept));
-                denom += w[i];
-            }
-            double b0 = num / denom;
+            double b0 = num / wsum;
             double delta = b0 - intercept;
             if (delta != 0.0) {
                 for (size_t i = 0; i < n; ++i)
@@ -122,9 +148,9 @@ fitAtLambda(const Matrix &X, const std::vector<int> &y, double lambda,
 
 /** Largest lambda with all coefficients zero (path start). */
 double
-lambdaMax(const Matrix &X, const std::vector<int> &y, double alpha)
+lambdaMax(const Matrix &Xt, const std::vector<int> &y, double alpha)
 {
-    size_t n = X.rows(), p = X.cols();
+    size_t p = Xt.rows(), n = Xt.cols();
     double ybar = 0.0;
     for (int yi : y)
         ybar += yi;
@@ -132,9 +158,10 @@ lambdaMax(const Matrix &X, const std::vector<int> &y, double alpha)
 
     double best = 0.0;
     for (size_t j = 0; j < p; ++j) {
+        const double *x = Xt.row(j);
         double dot = 0.0;
         for (size_t i = 0; i < n; ++i)
-            dot += X.at(i, j) * (double(y[i]) - ybar);
+            dot += x[i] * (double(y[i]) - ybar);
         best = std::max(best, std::fabs(dot) / double(n));
     }
     return best / std::max(alpha, 1e-3);
@@ -188,25 +215,26 @@ fitElasticNetFixed(const Matrix &X, const std::vector<int> &y,
 {
     LogisticModel model;
     model.standardizer = Standardizer::fit(X);
-    Matrix Xs = model.standardizer.apply(X);
+    Matrix Xst = transposed(model.standardizer.apply(X));
     model.beta.assign(X.cols(), 0.0);
     model.lambda = lambda;
-    fitAtLambda(Xs, y, lambda, config, model.beta, model.intercept);
+    fitAtLambda(Xst, y, lambda, config, model.beta, model.intercept);
     return model;
 }
 
 LogisticModel
 fitElasticNet(const Matrix &X, const std::vector<int> &y,
-              const ElasticNetConfig &config)
+              const ElasticNetConfig &config, support::ThreadPool *pool)
 {
-    size_t n = X.rows();
+    size_t n = X.rows(), p = X.cols();
     SCIF_ASSERT(n >= size_t(config.folds) && n == y.size());
 
     Standardizer standardizer = Standardizer::fit(X);
     Matrix Xs = standardizer.apply(X);
+    Matrix Xst = transposed(Xs);
 
     // Descending log-spaced lambda path.
-    double lmax = lambdaMax(Xs, y, config.alpha);
+    double lmax = lambdaMax(Xst, y, config.alpha);
     if (lmax <= 0)
         lmax = 1.0;
     std::vector<double> path(config.pathLength);
@@ -224,22 +252,25 @@ fitElasticNet(const Matrix &X, const std::vector<int> &y,
         fold[perm[i]] = int(i % size_t(config.folds));
 
     // Cross-validated deviance per lambda, warm starts down the path.
+    // The folds are independent fits; each writes only its own column
+    // of foldDeviance.
     std::vector<std::vector<double>> foldDeviance(
         path.size(), std::vector<double>(config.folds, 0.0));
-    for (int f = 0; f < config.folds; ++f) {
+    support::parallelFor(pool, size_t(config.folds), [&](size_t f) {
         std::vector<size_t> trainIdx, testIdx;
         for (size_t i = 0; i < n; ++i)
-            (fold[i] == f ? testIdx : trainIdx).push_back(i);
+            (fold[i] == int(f) ? testIdx : trainIdx).push_back(i);
 
-        Matrix Xtrain(trainIdx.size(), X.cols());
-        std::vector<int> ytrain(trainIdx.size());
-        for (size_t i = 0; i < trainIdx.size(); ++i) {
-            for (size_t j = 0; j < X.cols(); ++j)
-                Xtrain.at(i, j) = Xs.at(trainIdx[i], j);
-            ytrain[i] = y[trainIdx[i]];
+        Matrix Xtrain(p, trainIdx.size()); // transposed, like Xst
+        for (size_t j = 0; j < p; ++j) {
+            for (size_t i = 0; i < trainIdx.size(); ++i)
+                Xtrain.at(j, i) = Xst.at(j, trainIdx[i]);
         }
+        std::vector<int> ytrain(trainIdx.size());
+        for (size_t i = 0; i < trainIdx.size(); ++i)
+            ytrain[i] = y[trainIdx[i]];
 
-        std::vector<double> beta(X.cols(), 0.0);
+        std::vector<double> beta(p, 0.0);
         double intercept = 0.0;
         for (size_t k = 0; k < path.size(); ++k) {
             fitAtLambda(Xtrain, ytrain, path[k], config, beta,
@@ -247,7 +278,7 @@ fitElasticNet(const Matrix &X, const std::vector<int> &y,
             foldDeviance[k][f] =
                 deviance(Xs, y, testIdx, beta, intercept);
         }
-    }
+    });
 
     // glmnet's one-standard-error rule: take the *largest* lambda
     // whose mean CV deviance is within one standard error of the
@@ -282,12 +313,11 @@ fitElasticNet(const Matrix &X, const std::vector<int> &y,
     // Final fit on all data at the selected lambda.
     LogisticModel model;
     model.standardizer = standardizer;
-    model.beta.assign(X.cols(), 0.0);
     model.lambda = path[bestK];
     double intercept = 0.0;
-    std::vector<double> beta(X.cols(), 0.0);
+    std::vector<double> beta(p, 0.0);
     for (size_t k = 0; k <= bestK; ++k)
-        fitAtLambda(Xs, y, path[k], config, beta, intercept);
+        fitAtLambda(Xst, y, path[k], config, beta, intercept);
     model.beta = beta;
     model.intercept = intercept;
     return model;

@@ -10,6 +10,13 @@
  * cross validation and reports lambda = 0.08 with 90% held-out
  * accuracy.
  *
+ * The IRLS loop stops as soon as one coordinate-descent pass over a
+ * quadratic approximation converges, so a lambda gets a second
+ * approximation only when descent hits its 100-sweep cap. SCI
+ * inference depends on that: iterating IRLS to convergence moves
+ * four of its recommendations, so the iteration structure is part of
+ * the model.
+ *
  * Class convention follows the paper: y = 1 means NON-security-
  * critical, so features with negative weights are associated with
  * security-critical invariants (Table 4).
@@ -23,6 +30,10 @@
 #include <vector>
 
 #include "ml/matrix.hh"
+
+namespace scif::support {
+class ThreadPool;
+} // namespace scif::support
 
 namespace scif::ml {
 
@@ -56,11 +67,14 @@ struct LogisticModel
 
 /**
  * Fit the model on raw features @p X and binary labels @p y,
- * selecting lambda by k-fold cross validation over the path.
+ * selecting lambda by k-fold cross validation over the path. The
+ * folds are independent fits and run in parallel over @p pool when
+ * one is given; the model is bit-identical either way.
  */
 LogisticModel fitElasticNet(const Matrix &X, const std::vector<int> &y,
                             const ElasticNetConfig &config =
-                                ElasticNetConfig());
+                                ElasticNetConfig(),
+                            support::ThreadPool *pool = nullptr);
 
 /**
  * Fit with a fixed lambda (no cross validation); used by the CV

@@ -1,23 +1,71 @@
 #include "infer.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <unordered_map>
 
 #include "analysis/secflow.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
+#include "support/threadpool.hh"
 
 namespace scif::sci {
 
 namespace {
 
 /**
- * True when the static security signature justifies a lower
- * recommendation bar: the invariant relates two pieces of live state
- * (no constant, no value-set enumeration) and at least one operand
- * is directly security-classed. Constant pins like "SPRV == 0" stay
- * on the plain statistical threshold — they are overwhelmingly
- * artifacts of the trace corpus, not security properties.
+ * A feature row in the form unlabeled invariants are deduplicated
+ * under: the bit patterns of its nonzero entries, and their hash.
+ * Rows set a handful of the features, so the keys stay small, and
+ * denseRow() restores the row bit for bit.
  */
+struct RowKey
+{
+    std::vector<std::pair<uint32_t, uint64_t>> entries; ///< (j, bits)
+    uint64_t hash = 0;
+
+    bool operator==(const RowKey &o) const { return entries == o.entries; }
+};
+
+struct RowKeyHash
+{
+    size_t operator()(const RowKey &key) const { return key.hash; }
+};
+
+/** @return the key of feature row @p x, hashed FNV-1a style over its
+ *  entries. */
+RowKey
+rowKey(const std::vector<double> &x)
+{
+    RowKey key;
+    key.hash = 0xcbf29ce484222325ull;
+    for (size_t j = 0; j < x.size(); ++j) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &x[j], sizeof bits);
+        if (bits == 0)
+            continue;
+        key.entries.emplace_back(uint32_t(j), bits);
+        key.hash = (key.hash ^ j ^ bits ^ (bits >> 32)) * 0x100000001b3ull;
+    }
+    return key;
+}
+
+/** @return the @p size-feature row @p key was made from. */
+std::vector<double>
+denseRow(const RowKey &key, size_t size)
+{
+    std::vector<double> x(size, 0.0);
+    for (const auto &[j, bits] : key.entries)
+        std::memcpy(&x[j], &bits, sizeof bits);
+    return x;
+}
+
+/** Unlabeled invariants keyed per parallel pass; bounds the keys held
+ *  at once. */
+constexpr size_t extractWave = 4096;
+
+} // namespace
+
 bool
 semanticallyImplicated(const expr::Invariant &inv)
 {
@@ -30,12 +78,10 @@ semanticallyImplicated(const expr::Invariant &inv)
                 .empty();
 }
 
-} // namespace
-
 InferenceResult
 infer(const invgen::InvariantSet &set, const SciDatabase &db,
       const std::set<size_t> &knownNonInvariant,
-      const InferConfig &config)
+      const InferConfig &config, support::ThreadPool *pool)
 {
     InferenceResult result;
 
@@ -74,7 +120,7 @@ infer(const invgen::InvariantSet &set, const SciDatabase &db,
         ytrain[i] = labels[k];
     }
 
-    result.model = ml::fitElasticNet(Xtrain, ytrain, config.net);
+    result.model = ml::fitElasticNet(Xtrain, ytrain, config.net, pool);
 
     // Held-out accuracy.
     size_t correct = 0, total = 0;
@@ -88,19 +134,39 @@ infer(const invgen::InvariantSet &set, const SciDatabase &db,
     result.testAccuracy =
         total ? double(correct) / double(total) : 0.0;
 
-    // Classify every unlabeled invariant.
+    // Classify every unlabeled invariant. Feature rows are extracted
+    // and keyed on the pool a wave at a time; many invariants share a
+    // row, so the model predicts each distinct row once. Decisions are
+    // made in index order.
     std::set<size_t> labeledSet(labeled.begin(), labeled.end());
+    std::vector<size_t> unlabeled;
     for (size_t idx = 0; idx < set.size(); ++idx) {
-        if (labeledSet.count(idx))
-            continue;
-        auto x = result.features.extract(set.all()[idx]);
-        double pSci = 1.0 - result.model.predict(x);
-        if (pSci >= config.recommendThreshold) {
-            result.recommended.push_back(idx);
-        } else if (pSci >= config.semanticThreshold &&
-                   semanticallyImplicated(set.all()[idx])) {
-            result.recommended.push_back(idx);
-            ++result.semanticRecommended;
+        if (!labeledSet.count(idx))
+            unlabeled.push_back(idx);
+    }
+    std::unordered_map<RowKey, double, RowKeyHash> pSciOfRow;
+    std::vector<RowKey> keys;
+    for (size_t base = 0; base < unlabeled.size(); base += extractWave) {
+        keys.resize(std::min(extractWave, unlabeled.size() - base));
+        support::parallelFor(pool, keys.size(), [&](size_t k) {
+            keys[k] = rowKey(
+                result.features.extract(set.all()[unlabeled[base + k]]));
+        });
+        for (size_t k = 0; k < keys.size(); ++k) {
+            auto [it, fresh] = pSciOfRow.try_emplace(std::move(keys[k]));
+            if (fresh) {
+                it->second = 1.0 - result.model.predict(denseRow(
+                                       it->first, result.features.size()));
+            }
+            double pSci = it->second;
+            size_t idx = unlabeled[base + k];
+            if (pSci >= config.recommendThreshold) {
+                result.recommended.push_back(idx);
+            } else if (pSci >= config.semanticThreshold &&
+                       semanticallyImplicated(set.all()[idx])) {
+                result.recommended.push_back(idx);
+                ++result.semanticRecommended;
+            }
         }
     }
 

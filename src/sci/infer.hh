@@ -72,17 +72,31 @@ struct InferenceResult
 };
 
 /**
+ * True when the static security signature justifies the lower
+ * semanticThreshold: the invariant relates two pieces of live state
+ * (no constant, no value-set enumeration) and at least one operand
+ * is directly security-classed. Constant pins like "SPRV == 0" stay
+ * on the plain statistical threshold — they are overwhelmingly
+ * artifacts of the trace corpus, not security properties.
+ */
+bool semanticallyImplicated(const expr::Invariant &inv);
+
+/**
  * Run the inference phase.
  *
  * @param set the optimized invariant model.
  * @param db identification output (labels).
  * @param knownNonInvariant validation-corpus violations.
  * @param config tuning.
+ * @param pool runs the cross-validation folds and the unlabeled
+ *        feature extraction in parallel when given; the result is
+ *        identical either way.
  */
 InferenceResult infer(const invgen::InvariantSet &set,
                       const SciDatabase &db,
                       const std::set<size_t> &knownNonInvariant,
-                      const InferConfig &config = InferConfig());
+                      const InferConfig &config = InferConfig(),
+                      support::ThreadPool *pool = nullptr);
 
 /**
  * Group invariants into security properties: invariants whose

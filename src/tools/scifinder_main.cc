@@ -11,7 +11,7 @@
  *   scifinder generate  [--jobs N] --artifact-dir D     phase 1
  *   scifinder optimize  --artifact-dir D                phase 2
  *   scifinder identify  [--jobs N] --artifact-dir D     phase 3
- *   scifinder infer     --artifact-dir D                phase 4
+ *   scifinder infer     [--jobs N] --artifact-dir D     phase 4
  *
  * plus the catalog/utility commands (workloads, bugs, errata,
  * properties, trace, exec) and the legacy trace-file mode of
@@ -68,7 +68,7 @@ usage()
         "model\n"
         "  identify  [opts] [bug...] phase 3: identify SCI for the "
         "errata\n"
-        "  infer     --artifact-dir D\n"
+        "  infer     [--jobs N] --artifact-dir D\n"
         "                            phase 4: infer additional SCI\n"
         "  analyze   [--jobs N] [--json] [--audit-traces] "
         "--artifact-dir D\n"
@@ -1062,7 +1062,8 @@ cmdInfer(const std::vector<std::string> &args_in)
         return 2;
     if (opts.artifactDir.empty() || !args.empty()) {
         std::fprintf(stderr,
-                     "usage: scifinder infer --artifact-dir D\n");
+                     "usage: scifinder infer [--jobs N] "
+                     "--artifact-dir D\n");
         return 2;
     }
     core::ArtifactPaths paths(opts.artifactDir);
@@ -1076,8 +1077,10 @@ cmdInfer(const std::vector<std::string> &args_in)
     sci::SciDatabase db =
         sci::SciDatabase::loadBinary(paths.sciDatabase());
 
+    auto pool = makePool(opts);
     sci::InferenceResult inference =
-        sci::infer(model, db, violations);
+        sci::infer(model, db, violations, sci::InferConfig(),
+                   pool.get());
     std::printf("labeled:   %zu SCI, %zu non-SCI\n",
                 inference.labeledSci, inference.labeledNonSci);
     std::printf("inferred:  %zu SCI (accuracy %.0f%%, %zu clear "

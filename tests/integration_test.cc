@@ -3,11 +3,15 @@
  * End-to-end pipeline tests over the full corpus: the four phases
  * run, the headline results of the paper hold (16 of 17 bugs
  * identified with b2 the only miss, one SCI covering multiple bugs,
- * 12 of 14 held-out bugs detected), and the deployment path
- * produces a small assertion set with Table 9-shaped overhead.
+ * 12 of 14 held-out bugs detected), the inference decisions are
+ * pinned with their margins, and the deployment path produces a
+ * small assertion set with Table 9-shaped overhead.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
 
 #include "analysis/secflow.hh"
 #include "core/scifinder.hh"
@@ -51,12 +55,16 @@ TEST(Pipeline, PhasesProduceOutput)
 
 TEST(Pipeline, StageItemCountsAreTheProducedSets)
 {
-    // Each stage counts what it produced: the optimized model, the
-    // identified SCI and the inferred SCI. None of them returns a
-    // container of those items, so a default count would report the
-    // four optimization passes or one result struct instead.
+    // Each stage counts what it produced: the traces, the optimized
+    // model, the identified SCI and the inferred SCI. The later three
+    // return no container of those items, so a default count would
+    // report the four optimization passes or one result struct
+    // instead. Trace generation takes the resolved workload list.
     const auto &r = pipeline();
     ASSERT_EQ(r.stages.size(), 5u);
+    EXPECT_EQ(r.stages[0].name, "trace-generation");
+    EXPECT_EQ(r.stages[0].itemsIn, 17u);
+    EXPECT_EQ(r.stages[0].itemsOut, 17u);
     EXPECT_EQ(r.stages[1].name, "invariant-generation");
     EXPECT_EQ(r.stages[1].itemsOut, 187607u);
     EXPECT_EQ(r.stages[2].name, "optimization");
@@ -70,6 +78,76 @@ TEST(Pipeline, StageItemCountsAreTheProducedSets)
     EXPECT_EQ(r.model.size(), 34444u);
     EXPECT_EQ(r.identifiedSci().size(), 266u);
     EXPECT_EQ(r.inference.inferredSci.size(), 22698u);
+}
+
+TEST(Pipeline, InferenceDecisionsArePinned)
+{
+    // The fitted model and the decisions it makes (Tables 4 and 5).
+    // A solver change that moves any of these is a solver bug, not a
+    // reason to move a threshold.
+    const auto &r = pipeline();
+    const sci::InferenceResult &inf = r.inference;
+
+    char lambda[32];
+    std::snprintf(lambda, sizeof lambda, "%.17g", inf.model.lambda);
+    EXPECT_STREQ(lambda, "0.02004880291066043");
+
+    // Non-zero features with their signs; y = 1 means non-SCI, so "-"
+    // marks features associated with security-critical invariants.
+    std::vector<std::string> signedFeatures;
+    for (size_t j : inf.model.nonZeroFeatures()) {
+        signedFeatures.push_back((inf.model.beta[j] < 0 ? "-" : "+") +
+                                 inf.features.names()[j]);
+    }
+    const std::vector<std::string> expected = {
+        "-GPR0",        "+GPR1",        "+GPR2",        "+GPR5",
+        "-GPR6",        "-GPR7",        "+GPR8",        "+GPR17",
+        "+GPR25",       "+GPR26",       "+GPR28",       "+GPR29",
+        "-PC",          "-WBPC",        "-SR",          "-OPDEST",
+        "-REGB",        "-DSX",         "-orig(GPR0)",  "+orig(GPR1)",
+        "+orig(GPR2)",  "-orig(GPR3)",  "+orig(GPR4)",  "+orig(GPR5)",
+        "-orig(GPR7)",  "+orig(GPR9)",  "+orig(GPR17)", "+orig(GPR25)",
+        "+orig(GPR26)", "+orig(GPR28)", "+orig(GPR29)", "-orig(PC)",
+        "-orig(NNPC)",  "-orig(IDPC)",  "+orig(ESR0)",  "-orig(EPCR0)",
+        "-orig(REGB)",  "-orig(DSX)",   "-==",          "+!=",
+        "+>",           "-+",           "+*",           "-CONST",
+        "+SEC_PRIV",    "-SEC_MEM",     "-SEC_EXC",     "-SEC_CFI",
+        "+SEC_MEM_NEAR", "-SEC_EXC_NEAR",
+    };
+    EXPECT_EQ(signedFeatures, expected);
+
+    EXPECT_EQ(inf.recommended.size(), 25937u);
+    EXPECT_EQ(inf.semanticRecommended, 1189u);
+    EXPECT_EQ(inf.inferredSci.size(), 22698u);
+
+    // How near the closest unlabeled posterior lies to each
+    // threshold, so solver drift shows before a decision flips.
+    const sci::InferConfig config = PipelineConfig().inference;
+    std::set<size_t> labeled;
+    for (size_t idx : r.database.sciIndices())
+        labeled.insert(idx);
+    for (size_t idx : r.database.nonSciIndices())
+        labeled.insert(idx);
+    double recommendMargin = 1.0, semanticMargin = 1.0;
+    for (size_t idx = 0; idx < r.model.size(); ++idx) {
+        if (labeled.count(idx))
+            continue;
+        const expr::Invariant &inv = r.model.all()[idx];
+        double pSci = 1.0 - inf.model.predict(inf.features.extract(inv));
+        recommendMargin =
+            std::min(recommendMargin,
+                     std::fabs(pSci - config.recommendThreshold));
+        if (sci::semanticallyImplicated(inv)) {
+            semanticMargin =
+                std::min(semanticMargin,
+                         std::fabs(pSci - config.semanticThreshold));
+        }
+    }
+    std::printf("smallest |pSci - %g| over unlabeled invariants: %.3g\n"
+                "smallest |pSci - %g| over semantically implicated "
+                "ones: %.3g\n",
+                config.recommendThreshold, recommendMargin,
+                config.semanticThreshold, semanticMargin);
 }
 
 TEST(Pipeline, SixteenOfSeventeenBugsIdentified)

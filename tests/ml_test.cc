@@ -2,8 +2,8 @@
  * @file
  * ML substrate tests: matrix/standardizer, the Jacobi eigensolver,
  * elastic-net logistic regression (separable data, sparsity
- * recovery, cross validation), PCA, and invariant feature
- * extraction.
+ * recovery, cross validation, pooled folds bit-identical to serial),
+ * PCA, and invariant feature extraction.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "ml/matrix.hh"
 #include "ml/pca.hh"
 #include "support/random.hh"
+#include "support/threadpool.hh"
 
 namespace scif::ml {
 namespace {
@@ -156,6 +157,29 @@ TEST(ElasticNet, RecoversSignsAndSparsity)
         strongNoise += std::fabs(model.beta[j]) > 0.1;
     EXPECT_LE(strongNoise, 3u);
     EXPECT_GT(std::fabs(model.beta[0]), 5 * std::fabs(model.beta[2]));
+}
+
+TEST(ElasticNet, PooledFitMatchesSerial)
+{
+    // The cross-validation folds run on the pool; every pool width
+    // and fold count must give the serial fit's exact bits.
+    Rng rng(17);
+    Synthetic train = makeSynthetic(240, 12, rng, 1.5);
+    for (int folds : {3, 5}) {
+        ElasticNetConfig cfg;
+        cfg.folds = folds;
+        LogisticModel serial = fitElasticNet(train.X, train.y, cfg);
+        EXPECT_FALSE(serial.nonZeroFeatures().empty());
+        for (size_t threads : {2, 3, 4}) {
+            support::ThreadPool pool(threads);
+            LogisticModel pooled =
+                fitElasticNet(train.X, train.y, cfg, &pool);
+            EXPECT_EQ(pooled.beta, serial.beta)
+                << folds << " folds, " << threads << " threads";
+            EXPECT_EQ(pooled.intercept, serial.intercept);
+            EXPECT_EQ(pooled.lambda, serial.lambda);
+        }
+    }
 }
 
 TEST(ElasticNet, StrongPenaltyZeroesEverything)

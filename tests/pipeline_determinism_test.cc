@@ -63,7 +63,15 @@ expectIdenticalResults(const core::PipelineResult &serial,
         EXPECT_EQ(p.notInvariant, s.notInvariant);
     }
 
-    // Phase 4: inference labels and the final SCI set.
+    // Phase 4: the fitted model (exact bits: the CV folds run on the
+    // pool), inference labels and the final SCI set.
+    EXPECT_EQ(parallel.inference.model.beta, serial.inference.model.beta);
+    EXPECT_EQ(parallel.inference.model.intercept,
+              serial.inference.model.intercept);
+    EXPECT_EQ(parallel.inference.model.lambda,
+              serial.inference.model.lambda);
+    EXPECT_EQ(parallel.inference.testAccuracy,
+              serial.inference.testAccuracy);
     EXPECT_EQ(parallel.inference.labeledSci,
               serial.inference.labeledSci);
     EXPECT_EQ(parallel.inference.labeledNonSci,
@@ -116,7 +124,8 @@ TEST(PipelineDeterminism, StageStatsRecorded)
     auto result = core::runPipeline(reducedConfig(2));
     ASSERT_EQ(result.stages.size(), 5u);
     EXPECT_EQ(result.stages[0].name, "trace-generation");
-    EXPECT_EQ(result.stages[0].itemsOut, 3u); // three workloads
+    EXPECT_EQ(result.stages[0].itemsIn, 3u); // three workloads
+    EXPECT_EQ(result.stages[0].itemsOut, 3u); // one trace each
     EXPECT_EQ(result.stages[1].name, "invariant-generation");
     EXPECT_EQ(result.stages[1].itemsIn, 3u);
     EXPECT_EQ(result.stages[2].name, "optimization");
