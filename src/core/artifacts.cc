@@ -3,7 +3,8 @@
 #include <filesystem>
 
 #include "support/binio.hh"
-#include "support/logging.hh"
+#include "support/ioerror.hh"
+#include "support/strings.hh"
 
 namespace scif::core {
 
@@ -20,8 +21,9 @@ ArtifactPaths::ensureDir() const
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (ec) {
-        fatal("cannot create artifact directory '%s': %s",
-              dir_.c_str(), ec.message().c_str());
+        throw support::IoError(
+            dir_, "cannot create artifact directory '" + dir_ + "'",
+            ec.value());
     }
 }
 
@@ -49,9 +51,10 @@ loadIndexSet(const std::string &path)
                           "index set");
     std::set<size_t> out;
     uint64_t count = in.u64();
-    if (count > (1ull << 32))
-        fatal("index set '%s' is corrupt (%llu entries)",
-              path.c_str(), (unsigned long long)count);
+    if (count > (1ull << 32)) {
+        in.corrupt(sizeof(count),
+                   format("%llu entries", (unsigned long long)count));
+    }
     for (uint64_t i = 0; i < count; ++i)
         out.insert(size_t(in.u64()));
     in.expectEof();

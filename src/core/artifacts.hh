@@ -16,10 +16,11 @@
  *     analysis.txt        analyze   static invariant classification
  *     audit.txt           audit     security-dataflow bug audit
  *
- * The serializers themselves live with their types (trace/io.hh,
+ * The serializers themselves live with their types (trace/store.hh,
  * invgen::InvariantSet, sci::SciDatabase); this module owns the
  * directory layout plus the small index-set artifact used for the
- * validation violations.
+ * validation violations. Every one of them reports a failed read or
+ * write by throwing support::IoError.
  */
 
 #ifndef SCIFINDER_CORE_ARTIFACTS_HH
@@ -48,8 +49,8 @@ class ArtifactPaths
     std::string analysis() const { return join("analysis.txt"); }
     std::string audit() const { return join("audit.txt"); }
 
-    /** Create the directory (and parents) if missing; fatal on
-     *  failure. */
+    /** Create the directory (and parents) if missing; throws
+     *  support::IoError on failure. */
     void ensureDir() const;
 
     /** @return true if the file exists. */
@@ -68,7 +69,8 @@ class ArtifactPaths
 void saveIndexSet(const std::string &path,
                   const std::set<size_t> &indices);
 
-/** Load an index-set artifact; aborts on truncation or corruption. */
+/** Load an index-set artifact; throws support::IoError on
+ *  truncation or corruption. */
 std::set<size_t> loadIndexSet(const std::string &path);
 
 } // namespace scif::core

@@ -1,13 +1,14 @@
 #include "scifinder.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 #include <memory>
 
 #include "core/artifacts.hh"
-#include "support/logging.hh"
+#include "support/ioerror.hh"
 #include "support/threadpool.hh"
-#include "trace/io.hh"
+#include "trace/store.hh"
 
 namespace scif::core {
 
@@ -57,8 +58,10 @@ writeInferenceReport(const std::string &path,
                      const PipelineResult &result)
 {
     std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
+    if (!out) {
+        throw support::IoError(
+            path, "cannot open '" + path + "' for writing", errno);
+    }
     out << "# identified SCI: "
         << result.identifiedSci().size() << "\n";
     out << "# inferred SCI: "
@@ -68,7 +71,7 @@ writeInferenceReport(const std::string &path,
     for (size_t idx : result.finalSci())
         out << idx << "\t" << result.model.all()[idx].str() << "\n";
     if (!out)
-        fatal("write to '%s' failed", path.c_str());
+        throw support::IoError(path, "write to '" + path + "' failed");
 }
 
 } // namespace
@@ -97,7 +100,7 @@ runPipeline(const PipelineConfig &config)
     // --interpreted-sim keeps the classic interpreted + AoS-buffer +
     // post-hoc-transpose path as the differential oracle. With an
     // artifact directory, both front ends instead stream: workloads
-    // seal compressed chunks into the v2 trace set as they simulate,
+    // seal compressed chunks into the trace set as they simulate,
     // and invariant generation folds the chunks back a window at a
     // time. All paths produce byte-identical artifacts and models.
     //

@@ -77,7 +77,7 @@ struct PipelineConfig
      */
     std::string artifactDir;
 
-    /** Records per chunk of the persisted v2 trace sets. */
+    /** Records per chunk of the persisted trace sets. */
     uint32_t traceChunkRecords = trace::defaultChunkRecords;
 };
 

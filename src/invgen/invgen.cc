@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <unordered_set>
 
 #include "support/binio.hh"
 #include "support/logging.hh"
 #include "support/memstats.hh"
+#include "support/strings.hh"
 #include "support/threadpool.hh"
 #include "trace/columns.hh"
 #include "trace/store.hh"
@@ -74,34 +74,6 @@ InvariantSet::assign(std::vector<expr::Invariant> invs)
         add(std::move(inv));
 }
 
-void
-InvariantSet::saveText(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    for (const auto &inv : invs_)
-        out << inv.str() << "\n";
-    if (!out)
-        fatal("write to '%s' failed", path.c_str());
-}
-
-InvariantSet
-InvariantSet::loadText(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open invariant file '%s'", path.c_str());
-    InvariantSet set;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        set.add(expr::Invariant::parse(line));
-    }
-    return set;
-}
-
 namespace {
 
 constexpr uint32_t invMagic = 0x53434956; // "SCIV"
@@ -123,20 +95,29 @@ writeOperand(support::BinWriter &out, const Operand &op)
     out.u32(op.addImm);
 }
 
+/** Read a variable id, rejecting ids outside the schema. */
+uint16_t
+readVar(support::BinReader &in)
+{
+    uint16_t var = in.u16();
+    if (var >= trace::numVars)
+        in.corrupt(sizeof(var), format("variable id %u", var));
+    return var;
+}
+
 Operand
-readOperand(support::BinReader &in, const std::string &path)
+readOperand(support::BinReader &in)
 {
     Operand op;
     op.isConst = in.u8() != 0;
     op.constVal = in.u32();
-    op.a.var = in.u16();
+    op.a.var = readVar(in);
     op.a.orig = in.u8() != 0;
     uint8_t op2 = in.u8();
     if (op2 > uint8_t(Op2::Sub))
-        fatal("invariant model '%s' is corrupt (operator %u)",
-              path.c_str(), op2);
+        in.corrupt(sizeof(op2), format("operator %u", op2));
     op.op2 = Op2(op2);
-    op.b.var = in.u16();
+    op.b.var = readVar(in);
     op.b.orig = in.u8() != 0;
     op.negate = in.u8() != 0;
     op.mulImm = in.u32();
@@ -173,18 +154,19 @@ InvariantSet::loadBinary(const std::string &path)
     uint64_t count = in.u64();
     for (uint64_t i = 0; i < count; ++i) {
         Invariant inv;
-        inv.point = trace::Point::fromId(in.u16());
+        uint16_t pointId = in.u16();
+        if (!trace::Point::validId(pointId))
+            in.corrupt(sizeof(pointId), format("point id %u", pointId));
+        inv.point = trace::Point::fromId(pointId);
         uint8_t op = in.u8();
         if (op > uint8_t(CmpOp::In))
-            fatal("invariant model '%s' is corrupt (comparison %u)",
-                  path.c_str(), op);
+            in.corrupt(sizeof(op), format("comparison %u", op));
         inv.op = CmpOp(op);
-        inv.lhs = readOperand(in, path);
-        inv.rhs = readOperand(in, path);
+        inv.lhs = readOperand(in);
+        inv.rhs = readOperand(in);
         uint32_t setSize = in.u32();
         if (setSize > (1u << 20))
-            fatal("invariant model '%s' is corrupt (set size %u)",
-                  path.c_str(), setSize);
+            in.corrupt(sizeof(setSize), format("set size %u", setSize));
         inv.set.resize(setSize);
         for (uint32_t &v : inv.set)
             v = in.u32();
@@ -246,7 +228,7 @@ constexpr uint8_t linDead = 2;
  * fold over the record stream, so the result is independent of how
  * the corpus was windowed — feeding the entire corpus as one window
  * reproduces the historical batch generator bit for bit, and feeding
- * it chunk-by-chunk from the v2 store gives the same answer with
+ * it chunk-by-chunk from the trace store gives the same answer with
  * O(window) resident trace memory.
  */
 class Engine

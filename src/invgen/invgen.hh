@@ -109,23 +109,15 @@ class InvariantSet
     void assign(std::vector<expr::Invariant> invs);
 
     /**
-     * Persist to a text file, one invariant per line in the str()
-     * syntax (the format the parser reads back).
-     */
-    void saveText(const std::string &path) const;
-
-    /** Load a set previously written by saveText(). */
-    static InvariantSet loadText(const std::string &path);
-
-    /**
      * Persist to a versioned binary artifact (the inter-stage format
      * of the staged pipeline); byte-exact round trip, including
      * insertion order.
      */
     void saveBinary(const std::string &path) const;
 
-    /** Load a binary artifact; aborts on a truncated or corrupt
-     *  file, or on an unsupported version. */
+    /** Load a binary artifact; throws support::IoError on a
+     *  truncated or corrupt file (including variable or point ids
+     *  this build does not define), or on an unsupported version. */
     static InvariantSet loadBinary(const std::string &path);
 
   private:
@@ -182,7 +174,7 @@ InvariantSet generate(trace::ColumnSet cols,
                       support::ThreadPool *pool = nullptr);
 
 /**
- * Infer invariants from a chunked v2 trace-set artifact without
+ * Infer invariants from a chunked trace-set artifact without
  * materializing the corpus: chunks are decompressed a window at a
  * time (one chunk per pool worker), folded into per-point
  * accumulators, and released, so resident trace memory is

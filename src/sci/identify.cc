@@ -5,6 +5,7 @@
 #include "analysis/secflow.hh"
 #include "support/binio.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 #include "support/threadpool.hh"
 #include "trace/store.hh"
 
@@ -368,15 +369,18 @@ writeIndices(support::BinWriter &out, const std::vector<size_t> &v)
 }
 
 std::vector<size_t>
-readIndices(support::BinReader &in, const std::string &path)
+readIndices(support::BinReader &in)
 {
     uint64_t count = in.u64();
-    if (count > dbMaxIndices)
-        fatal("SCI database '%s' is corrupt (%llu indices)",
-              path.c_str(), (unsigned long long)count);
-    std::vector<size_t> out(count);
+    if (count > dbMaxIndices) {
+        in.corrupt(sizeof(count),
+                   format("%llu indices", (unsigned long long)count));
+    }
+    // Grow as the entries arrive: a corrupt count must not size an
+    // allocation that the file cannot back.
+    std::vector<size_t> out;
     for (uint64_t i = 0; i < count; ++i)
-        out[i] = size_t(in.u64());
+        out.push_back(size_t(in.u64()));
     return out;
 }
 
@@ -405,9 +409,9 @@ SciDatabase::loadBinary(const std::string &path)
     for (uint64_t i = 0; i < count; ++i) {
         IdentificationResult result;
         result.bugId = in.str(256);
-        result.trueSci = readIndices(in, path);
-        result.falsePositives = readIndices(in, path);
-        result.notInvariant = readIndices(in, path);
+        result.trueSci = readIndices(in);
+        result.falsePositives = readIndices(in);
+        result.notInvariant = readIndices(in);
         db.addResult(result);
     }
     in.expectEof();

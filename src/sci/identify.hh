@@ -118,7 +118,7 @@ corpusViolations(const CompiledModel &model,
                  support::ThreadPool *pool = nullptr);
 
 /**
- * Corpus scan over a chunked v2 trace-set artifact without
+ * Corpus scan over a chunked trace-set artifact without
  * materializing it: chunks are decompressed, scanned, and released
  * independently (in parallel over @p pool), so resident trace memory
  * is O(chunk x jobs). The violation union is order-independent and

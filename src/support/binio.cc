@@ -1,33 +1,32 @@
 #include "binio.hh"
 
 #include <cerrno>
-#include <cstdarg>
 
 #include "support/ioerror.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace scif::support {
 
 void
-BinWriter::fail(int errnum, const char *fmt, ...)
+BinWriter::fail(const std::string &detail, int errnum, bool atPosition)
 {
-    char buf[512];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    if (onError_ == OnError::Fatal)
-        fatal("%s", buf);
-    throw IoError(path_, buf, errnum);
+    uint64_t offset = IoError::noOffset;
+    if (atPosition) {
+        long pos = std::ftell(file_);
+        if (pos >= 0)
+            offset = uint64_t(pos);
+    }
+    throw IoError(path_, detail, errnum, offset);
 }
 
 BinWriter::BinWriter(const std::string &path, uint32_t magic,
-                     uint32_t version, OnError onError)
-    : path_(path), onError_(onError)
+                     uint32_t version)
+    : path_(path)
 {
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
-        fail(errno, "cannot open '%s' for writing", path.c_str());
+        fail("cannot open '" + path + "' for writing", errno, false);
     try {
         u32(magic);
         u32(version);
@@ -41,15 +40,10 @@ BinWriter::BinWriter(const std::string &path, uint32_t magic,
 
 BinWriter::~BinWriter()
 {
-    if (!file_)
-        return;
-    if (onError_ == OnError::Fatal) {
-        close();
-    } else {
-        // Unwinding: close best-effort, never throw from a destructor.
+    // Unwinding past an unclosed writer: close best-effort, never
+    // throw from a destructor. Callers that keep the file call close().
+    if (file_)
         std::fclose(file_);
-        file_ = nullptr;
-    }
 }
 
 void
@@ -57,7 +51,7 @@ BinWriter::bytes(const void *data, size_t size)
 {
     SCIF_ASSERT(file_);
     if (size != 0 && std::fwrite(data, 1, size, file_) != size)
-        fail(errno, "write to '%s' failed", path_.c_str());
+        fail("write to '" + path_ + "' failed", errno, true);
 }
 
 void
@@ -99,37 +93,46 @@ BinWriter::close()
     int errnum = errno;
     file_ = nullptr;
     if (!ok)
-        fail(errnum, "closing '%s' failed", path_.c_str());
+        fail("closing '" + path_ + "' failed", errnum, false);
 }
 
 void
-BinReader::fail(int errnum, const char *fmt, ...)
+BinReader::fail(const std::string &detail, size_t back)
 {
-    char buf[512];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    if (onError_ == OnError::Fatal)
-        fatal("%s", buf);
-    throw IoError(path_, buf, errnum);
+    long pos = std::ftell(file_);
+    uint64_t offset = pos >= 0 && uint64_t(pos) >= back
+                          ? uint64_t(pos) - back
+                          : IoError::noOffset;
+    throw IoError(path_, detail, 0, offset);
+}
+
+void
+BinReader::corrupt(size_t fieldBytes, const std::string &why)
+{
+    fail(std::string(what_) + " '" + path_ + "' is corrupt (" + why + ")",
+         fieldBytes);
 }
 
 BinReader::BinReader(const std::string &path, uint32_t magic,
-                     uint32_t version, const char *what,
-                     OnError onError)
-    : path_(path), what_(what), onError_(onError)
+                     uint32_t version, const char *what)
+    : path_(path), what_(what)
 {
     file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        fail(errno, "cannot open %s '%s'", what, path.c_str());
+    if (!file_) {
+        throw IoError(path, format("cannot open %s '%s'", what,
+                                   path.c_str()),
+                      errno);
+    }
     try {
-        if (u32() != magic)
-            fail(0, "'%s' is not a %s artifact", path.c_str(), what);
+        if (u32() != magic) {
+            fail("'" + path + "' is not a " + what + " artifact",
+                 sizeof(magic));
+        }
         uint32_t got = u32();
         if (got != version) {
-            fail(0, "%s '%s' has version %u, this build reads %u",
-                 what, path.c_str(), got, version);
+            fail(format("%s '%s' has version %u, this build reads %u",
+                        what, path.c_str(), got, version),
+                 sizeof(got));
         }
     } catch (...) {
         // The destructor will not run for a throwing constructor.
@@ -149,9 +152,14 @@ void
 BinReader::bytes(void *data, size_t size)
 {
     SCIF_ASSERT(file_);
-    if (size != 0 && std::fread(data, 1, size, file_) != size)
-        fail(0, "%s '%s' is truncated or corrupt", what_,
-             path_.c_str());
+    if (size == 0)
+        return;
+    size_t got = std::fread(data, 1, size, file_);
+    if (got != size) {
+        fail(std::string(what_) + " '" + path_ +
+                 "' is truncated or corrupt",
+             got);
+    }
 }
 
 uint8_t
@@ -191,8 +199,7 @@ BinReader::str(size_t maxLen)
 {
     uint32_t len = u32();
     if (len > maxLen)
-        fail(0, "%s '%s' is corrupt (string length %u)", what_,
-             path_.c_str(), len);
+        corrupt(sizeof(len), format("string length %u", len));
     std::string s(len, '\0');
     bytes(s.data(), len);
     return s;
@@ -212,8 +219,10 @@ BinReader::atEof()
 void
 BinReader::expectEof()
 {
-    if (!atEof())
-        fail(0, "%s '%s' has trailing garbage", what_, path_.c_str());
+    if (!atEof()) {
+        fail(std::string(what_) + " '" + path_ + "' has trailing garbage",
+             0);
+    }
 }
 
 } // namespace scif::support

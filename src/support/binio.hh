@@ -2,14 +2,14 @@
  * @file
  * Minimal binary artifact I/O.
  *
- * Every inter-stage artifact of the staged pipeline (trace sets,
- * invariant models, SCI databases) is a stream of fixed-width
+ * The invariant models, SCI databases and index sets the staged
+ * pipeline passes between phases are streams of fixed-width
  * little-endian integers and length-prefixed strings behind a
  * (magic, version) header. These helpers centralize the encoding and
- * the failure policy: any short read/write, bad magic, or unsupported
- * version either fatal()s with the file name or throws an IoError
- * carrying path and errno, per the OnError policy the stream was
- * constructed with — artifacts are either valid or rejected, never
+ * the failure policy: any short read/write, bad magic, unsupported
+ * version or field a loader rejects throws a support::IoError with
+ * the path, the byte offset where the failure was found, and errno
+ * for system errors — artifacts are either valid or rejected, never
  * silently misparsed.
  */
 
@@ -22,20 +22,14 @@
 
 namespace scif::support {
 
-/** What to do when an I/O or format failure is detected. */
-enum class OnError {
-    Fatal, ///< print the diagnostic and exit(1) (batch-tool default)
-    Throw, ///< throw support::IoError (library/toolbelt callers)
-};
-
 /** Sequential writer for one binary artifact file. */
 class BinWriter
 {
   public:
-    /** Open @p path and emit the (magic, version) header; fails per
-     *  @p onError on I/O failure. */
-    BinWriter(const std::string &path, uint32_t magic, uint32_t version,
-              OnError onError = OnError::Fatal);
+    /** Open @p path and emit the (magic, version) header. */
+    BinWriter(const std::string &path, uint32_t magic, uint32_t version);
+
+    /** Closes best-effort if close() was not called; never throws. */
     ~BinWriter();
 
     BinWriter(const BinWriter &) = delete;
@@ -51,15 +45,15 @@ class BinWriter
 
     void bytes(const void *data, size_t size);
 
-    /** Flush and close; fails if any buffered write failed. */
+    /** Flush and close; throws if any buffered write failed. */
     void close();
 
   private:
-    [[noreturn]] void fail(int errnum, const char *fmt, ...);
+    [[noreturn]] void fail(const std::string &detail, int errnum,
+                           bool atPosition);
 
     std::FILE *file_ = nullptr;
     std::string path_;
-    OnError onError_;
 };
 
 /** Sequential reader for one binary artifact file. */
@@ -72,8 +66,7 @@ class BinReader
      * kind in error messages ("invariant model", ...).
      */
     BinReader(const std::string &path, uint32_t magic,
-              uint32_t version, const char *what,
-              OnError onError = OnError::Fatal);
+              uint32_t version, const char *what);
     ~BinReader();
 
     BinReader(const BinReader &) = delete;
@@ -97,13 +90,19 @@ class BinReader
      *  corruption. */
     void expectEof();
 
+    /**
+     * Reject the @p fieldBytes-byte field just read: throws IoError
+     * "<what> '<path>' is corrupt (<why>)" at the field's offset.
+     */
+    [[noreturn]] void corrupt(size_t fieldBytes, const std::string &why);
+
   private:
-    [[noreturn]] void fail(int errnum, const char *fmt, ...);
+    /** Throw @p detail at the offset @p back bytes before the cursor. */
+    [[noreturn]] void fail(const std::string &detail, size_t back);
 
     std::FILE *file_ = nullptr;
     std::string path_;
     const char *what_;
-    OnError onError_;
 };
 
 } // namespace scif::support

@@ -2,13 +2,11 @@
  * @file
  * Structured I/O failure reporting.
  *
- * The pipeline's artifact layer historically treated every I/O
- * failure as fatal(): correct for the batch tool, but useless for
- * library callers and the `scifinder trace` toolbelt, which want to
- * report the failing path (and errno) and keep going. IoError carries
- * both; binio and the trace stores throw it when constructed with the
- * Throw policy, and tool main()s translate it into a diagnostic plus
- * exit status 1.
+ * IoError is the one way an artifact read or write fails: the trace
+ * store, binio and every artifact loader throw it with the failing
+ * path, the byte offset where a format problem was found, and errno
+ * for system errors. Library callers can report it and keep going;
+ * the scifinder tool prints its fields and exits with status 3.
  */
 
 #ifndef SCIFINDER_SUPPORT_IOERROR_HH

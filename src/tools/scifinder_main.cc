@@ -13,12 +13,20 @@
  *   scifinder identify  [--jobs N] --artifact-dir D     phase 3
  *   scifinder infer     [--jobs N] --artifact-dir D     phase 4
  *
- * plus the catalog/utility commands (workloads, bugs, errata,
- * properties, trace, exec) and the legacy trace-file mode of
- * generate/identify, which runs in memory without artifacts.
+ * plus the analyses (analyze, audit), the checking service (serve),
+ * the simulator fuzzer (fuzz), the trace-set toolbelt (trace), the
+ * catalogs (workloads, bugs, errata, properties), exec, and the
+ * in-memory `identify bug...` mode, which runs phases 1-3 without
+ * artifacts.
+ *
+ * Exit status: 0 on success, 1 for a negative result (traces differ,
+ * an assertion fired, an unsound audit) or a missing artifact, 2 on
+ * usage errors, and 3 when reading or writing a file fails or an
+ * artifact is corrupt.
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -40,7 +48,6 @@
 #include "support/strings.hh"
 #include "support/table.hh"
 #include "support/threadpool.hh"
-#include "trace/io.hh"
 #include "trace/store.hh"
 
 namespace {
@@ -61,13 +68,14 @@ usage()
         "                            phase 1: run the workloads, "
         "infer the\n"
         "                            raw invariant model\n"
-        "            [-o f] <trace-file>...\n"
-        "                            legacy: infer from trace files\n"
         "  optimize  --artifact-dir D\n"
         "                            phase 2: optimize the raw "
         "model\n"
         "  identify  [opts] [bug...] phase 3: identify SCI for the "
         "errata\n"
+        "                            (without --artifact-dir: phases "
+        "1-3 in\n"
+        "                            memory for the listed bugs)\n"
         "  infer     [--jobs N] --artifact-dir D\n"
         "                            phase 4: infer additional SCI\n"
         "  analyze   [--jobs N] [--json] [--audit-traces] "
@@ -93,7 +101,7 @@ usage()
         "\n"
         "  common [opts]: --jobs N (0 = all cores), --artifact-dir "
         "D,\n"
-        "                 --chunk-records N (v2 trace-set chunk "
+        "                 --chunk-records N (trace-set chunk "
         "size),\n"
         "                 --validation N (corpus size, default 24),\n"
         "                 --interpreted-eval (identify: scan with "
@@ -143,11 +151,9 @@ usage()
         "                            the phase-2 classification aid\n"
         "  properties                list the security-property "
         "catalog\n"
-        "  trace <workload> <out>    run a workload, write its "
-        "binary trace\n"
         "  trace capture <workload> <out> [--chunk-records N]\n"
         "                            run a workload straight into a "
-        "v2 set\n"
+        "trace set\n"
         "  trace dump <set> [--stream S] [--limit N] [--vars A,B]\n"
         "                            print records of a set "
         "artifact\n"
@@ -157,21 +163,21 @@ usage()
         "                            histogram) of a set artifact\n"
         "  trace diff <a> <b>        compare two set artifacts "
         "record by\n"
-        "                            record (exit 1 = differ, 3 = "
-        "I/O error)\n"
+        "                            record (exit 1 = differ)\n"
         "  trace extract <in> <out> --stream S [--from N] [--count "
         "N]\n"
         "                            copy one stream (or a record "
         "range)\n"
-        "                            into a new v2 set\n"
+        "                            into a new set\n"
         "  trace merge <out> <in>...\n"
         "                            merge set artifacts into one "
-        "v2 set\n"
-        "  trace convert <in> <out> [--v1] [--chunk-records N]\n"
-        "                            re-encode a set artifact as v2 "
-        "(or v1)\n"
+        "set\n"
         "  exec <file.s>             assemble and execute a "
-        "program\n");
+        "program\n"
+        "\n"
+        "exit status: 0 ok, 1 negative result or missing artifact, "
+        "2 usage,\n"
+        "             3 I/O error or corrupt artifact\n");
     return 2;
 }
 
@@ -189,9 +195,28 @@ struct CommonOpts
      *  block cache, no capture-time columns); the differential
      *  oracle for the fast path. Artifacts are byte-identical. */
     bool interpretedSim = false;
-    /** Records per chunk of written v2 trace sets. */
+    /** Records per chunk of written trace sets. */
     size_t chunkRecords = trace::defaultChunkRecords;
 };
+
+/**
+ * Parse the decimal value of @p flag into @p out.
+ * @return false (after printing a diagnostic) when @p s is not a
+ * number.
+ */
+bool
+parseCount(const std::string &s, const char *flag, size_t *out)
+{
+    char *end = nullptr;
+    unsigned long v = std::strtoul(s.c_str(), &end, 10);
+    if (s.empty() || *end != '\0') {
+        std::fprintf(stderr, "%s expects a number, got '%s'\n", flag,
+                     s.c_str());
+        return false;
+    }
+    *out = size_t(v);
+    return true;
+}
 
 /**
  * Strip the common pipeline flags out of @p args.
@@ -210,21 +235,9 @@ parseCommon(std::vector<std::string> &args, CommonOpts &opts)
             }
             return &args[++i];
         };
-        auto count = [](const std::string &s, const char *flag,
-                        size_t *out) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(s.c_str(), &end, 10);
-            if (s.empty() || *end != '\0') {
-                std::fprintf(stderr, "%s expects a number, got '%s'\n",
-                             flag, s.c_str());
-                return false;
-            }
-            *out = size_t(v);
-            return true;
-        };
         if (arg == "--jobs" || arg == "-j") {
             const std::string *v = value("--jobs");
-            if (!v || !count(*v, "--jobs", &opts.jobs))
+            if (!v || !parseCount(*v, "--jobs", &opts.jobs))
                 return false;
         } else if (arg == "--artifact-dir") {
             const std::string *v = value("--artifact-dir");
@@ -233,12 +246,13 @@ parseCommon(std::vector<std::string> &args, CommonOpts &opts)
             opts.artifactDir = *v;
         } else if (arg == "--validation") {
             const std::string *v = value("--validation");
-            if (!v ||
-                !count(*v, "--validation", &opts.validationPrograms))
+            if (!v || !parseCount(*v, "--validation",
+                                  &opts.validationPrograms))
                 return false;
         } else if (arg == "--chunk-records") {
             const std::string *v = value("--chunk-records");
-            if (!v || !count(*v, "--chunk-records", &opts.chunkRecords))
+            if (!v || !parseCount(*v, "--chunk-records",
+                                  &opts.chunkRecords))
                 return false;
             if (opts.chunkRecords == 0) {
                 std::fprintf(stderr,
@@ -267,6 +281,18 @@ makePool(const CommonOpts &opts)
     if (jobs <= 1)
         return nullptr;
     return std::make_unique<support::ThreadPool>(jobs);
+}
+
+/** Open a text artifact for writing; throws support::IoError. */
+std::ofstream
+openOutput(const std::string &path)
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        throw support::IoError(
+            path, "cannot open '" + path + "' for writing", errno);
+    }
+    return out;
 }
 
 /** Load an artifact after checking it exists, with a phase hint. */
@@ -377,10 +403,10 @@ parseVarList(const std::string &list, std::vector<uint16_t> *out)
 }
 
 /**
- * Structured I/O diagnostic for the trace toolbelt: path and file
- * offset as separate fields, exit status 3 — distinct from "traces
- * differ" (1) and usage errors (2), so CI scripts can tell a flaky
- * filesystem from a real regression.
+ * Structured I/O diagnostic: path and file offset as separate fields,
+ * exit status 3 — distinct from a negative result (1) and usage errors
+ * (2), so CI scripts can tell a flaky filesystem or a corrupt artifact
+ * from a real regression.
  */
 int
 ioErrorExit(const support::IoError &e)
@@ -396,11 +422,11 @@ ioErrorExit(const support::IoError &e)
     return 3;
 }
 
-/** trace capture: run a workload straight into a v2 set artifact. */
+/** trace capture: run a workload straight into a trace set. */
 int
 cmdTraceCapture(const CommonOpts &opts,
                 const std::vector<std::string> &args)
-try {
+{
     if (args.size() != 2) {
         std::fprintf(stderr,
                      "usage: scifinder trace capture <workload> <out> "
@@ -419,14 +445,12 @@ try {
     std::printf("wrote %llu records in %zu chunks to %s\n",
                 (unsigned long long)records, chunks, args[1].c_str());
     return 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
 }
 
-/** trace dump: print records of a set artifact (v1 or v2). */
+/** trace dump: print records of a set artifact. */
 int
 cmdTraceDump(const std::vector<std::string> &args_in)
-try {
+{
     std::vector<std::string> args;
     std::string stream;
     size_t limit = 16;
@@ -436,8 +460,8 @@ try {
         if (arg == "--stream" && i + 1 < args_in.size()) {
             stream = args_in[++i];
         } else if (arg == "--limit" && i + 1 < args_in.size()) {
-            limit = size_t(std::strtoull(args_in[++i].c_str(),
-                                         nullptr, 10));
+            if (!parseCount(args_in[++i], "--limit", &limit))
+                return 2;
         } else if (arg == "--vars" && i + 1 < args_in.size()) {
             if (!parseVarList(args_in[++i], &vars))
                 return 2;
@@ -457,17 +481,23 @@ try {
                 trace::VarId::OPDEST};
     }
 
-    auto src = trace::TraceSetSource::open(args[0]);
-    for (size_t s = 0; s < src->streamCount(); ++s) {
-        if (!stream.empty() && src->streamName(s) != stream)
+    trace::TraceSetReader reader(args[0]);
+    if (!stream.empty() &&
+        reader.findStream(stream) == trace::TraceSetReader::npos) {
+        std::fprintf(stderr, "no stream named '%s' in %s\n",
+                     stream.c_str(), args[0].c_str());
+        return 1;
+    }
+    for (size_t s = 0; s < reader.streams().size(); ++s) {
+        const trace::StreamInfo &info = reader.streams()[s];
+        if (!stream.empty() && info.name != stream)
             continue;
         std::printf("stream %s: %llu records, %zu chunks\n",
-                    src->streamName(s).c_str(),
-                    (unsigned long long)src->streamRecords(s),
-                    src->streamChunks(s));
-        auto cur = src->cursor(s);
+                    info.name.c_str(), (unsigned long long)info.records,
+                    info.chunks.size());
+        trace::ChunkCursor cur(reader, s);
         trace::Record rec;
-        for (size_t n = 0; n < limit && cur->next(rec); ++n) {
+        for (size_t n = 0; n < limit && cur.next(rec); ++n) {
             std::printf("  %8llu %-16s%s",
                         (unsigned long long)rec.index,
                         rec.point.name().c_str(),
@@ -480,21 +510,13 @@ try {
             std::printf("\n");
         }
     }
-    if (!stream.empty() &&
-        src->findStream(stream) == trace::TraceSetSource::npos) {
-        std::fprintf(stderr, "no stream named '%s' in %s\n",
-                     stream.c_str(), args[0].c_str());
-        return 1;
-    }
     return 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
 }
 
 /** trace count: stream totals or a per-point histogram. */
 int
 cmdTraceCount(const std::vector<std::string> &args_in)
-try {
+{
     std::vector<std::string> args;
     bool points = false;
     for (const auto &arg : args_in) {
@@ -509,14 +531,16 @@ try {
                      "[--points]\n");
         return 2;
     }
-    auto src = trace::TraceSetSource::open(args[0]);
+    trace::TraceSetReader reader(args[0]);
     if (points) {
         std::map<uint16_t, uint64_t> histogram;
-        trace::Record rec;
-        for (size_t s = 0; s < src->streamCount(); ++s) {
-            auto cur = src->cursor(s);
-            while (cur->next(rec))
-                ++histogram[rec.point.id()];
+        trace::TraceBuffer chunk;
+        for (size_t s = 0; s < reader.streams().size(); ++s) {
+            trace::ChunkCursor cur(reader, s);
+            while (cur.nextChunk(chunk)) {
+                for (const auto &rec : chunk.records())
+                    ++histogram[rec.point.id()];
+            }
         }
         TextTable table({"point", "records"});
         for (const auto &[id, n] : histogram) {
@@ -527,22 +551,17 @@ try {
         return 0;
     }
     TextTable table({"stream", "records", "chunks"});
-    uint64_t records = 0;
     size_t chunks = 0;
-    for (size_t s = 0; s < src->streamCount(); ++s) {
-        records += src->streamRecords(s);
-        chunks += src->streamChunks(s);
-        table.addRow({src->streamName(s),
-                      std::to_string(src->streamRecords(s)),
-                      std::to_string(src->streamChunks(s))});
+    for (const auto &info : reader.streams()) {
+        chunks += info.chunks.size();
+        table.addRow({info.name, std::to_string(info.records),
+                      std::to_string(info.chunks.size())});
     }
     std::printf("%s", table.render().c_str());
-    std::printf("v%u set: %zu streams, %llu records, %zu chunks\n",
-                src->version(), src->streamCount(),
-                (unsigned long long)records, chunks);
+    std::printf("%zu streams, %llu records, %zu chunks\n",
+                reader.streams().size(),
+                (unsigned long long)reader.totalRecords(), chunks);
     return 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
 }
 
 /**
@@ -551,38 +570,40 @@ try {
  */
 int
 cmdTraceDiff(const std::vector<std::string> &args)
-try {
+{
     if (args.size() != 2) {
         std::fprintf(stderr,
                      "usage: scifinder trace diff <a> <b>\n");
         return 2;
     }
-    auto a = trace::TraceSetSource::open(args[0]);
-    auto b = trace::TraceSetSource::open(args[1]);
+    trace::TraceSetReader a(args[0]);
+    trace::TraceSetReader b(args[1]);
 
     bool differ = false;
-    for (size_t s = 0; s < a->streamCount(); ++s) {
-        size_t t = b->findStream(a->streamName(s));
-        if (t == trace::TraceSetSource::npos) {
-            std::printf("stream %s: only in %s\n",
-                        a->streamName(s).c_str(), args[0].c_str());
+    for (size_t s = 0; s < a.streams().size(); ++s) {
+        const trace::StreamInfo &info = a.streams()[s];
+        size_t t = b.findStream(info.name);
+        if (t == trace::TraceSetReader::npos) {
+            std::printf("stream %s: only in %s\n", info.name.c_str(),
+                        args[0].c_str());
             differ = true;
             continue;
         }
-        auto ca = a->cursor(s);
-        auto cb = b->cursor(t);
+        trace::ChunkCursor ca(a, s);
+        trace::ChunkCursor cb(b, t);
         trace::Record ra, rb;
         uint64_t pos = 0;
         while (true) {
-            bool hasA = ca->next(ra);
-            bool hasB = cb->next(rb);
+            bool hasA = ca.next(ra);
+            bool hasB = cb.next(rb);
             if (!hasA || !hasB) {
                 if (hasA != hasB) {
                     std::printf("stream %s: record counts differ "
                                 "(%llu vs %llu)\n",
-                                a->streamName(s).c_str(),
-                                (unsigned long long)a->streamRecords(s),
-                                (unsigned long long)b->streamRecords(t));
+                                info.name.c_str(),
+                                (unsigned long long)info.records,
+                                (unsigned long long)b.streams()[t]
+                                    .records);
                     differ = true;
                 }
                 break;
@@ -592,8 +613,7 @@ try {
                 ra.pre != rb.pre || ra.post != rb.post) {
                 std::printf("stream %s: first difference at record "
                             "%llu (%s vs %s)\n",
-                            a->streamName(s).c_str(),
-                            (unsigned long long)pos,
+                            info.name.c_str(), (unsigned long long)pos,
                             ra.point.name().c_str(),
                             rb.point.name().c_str());
                 differ = true;
@@ -602,39 +622,38 @@ try {
             ++pos;
         }
     }
-    for (size_t t = 0; t < b->streamCount(); ++t) {
-        if (a->findStream(b->streamName(t)) ==
-            trace::TraceSetSource::npos) {
-            std::printf("stream %s: only in %s\n",
-                        b->streamName(t).c_str(), args[1].c_str());
+    for (const auto &info : b.streams()) {
+        if (a.findStream(info.name) == trace::TraceSetReader::npos) {
+            std::printf("stream %s: only in %s\n", info.name.c_str(),
+                        args[1].c_str());
             differ = true;
         }
     }
     if (!differ)
         std::printf("trace sets are identical (%zu streams)\n",
-                    a->streamCount());
+                    a.streams().size());
     return differ ? 1 : 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
 }
 
 /** trace extract: copy one stream (or a range of it) to a new set. */
 int
 cmdTraceExtract(const CommonOpts &opts,
                 const std::vector<std::string> &args_in)
-try {
+{
     std::vector<std::string> args;
     std::string stream;
-    uint64_t from = 0;
-    uint64_t count = UINT64_MAX;
+    size_t from = 0;
+    size_t count = SIZE_MAX;
     for (size_t i = 0; i < args_in.size(); ++i) {
         const std::string &arg = args_in[i];
         if (arg == "--stream" && i + 1 < args_in.size()) {
             stream = args_in[++i];
         } else if (arg == "--from" && i + 1 < args_in.size()) {
-            from = std::strtoull(args_in[++i].c_str(), nullptr, 10);
+            if (!parseCount(args_in[++i], "--from", &from))
+                return 2;
         } else if (arg == "--count" && i + 1 < args_in.size()) {
-            count = std::strtoull(args_in[++i].c_str(), nullptr, 10);
+            if (!parseCount(args_in[++i], "--count", &count))
+                return 2;
         } else {
             args.push_back(arg);
         }
@@ -646,9 +665,9 @@ try {
                      "[--chunk-records N]\n");
         return 2;
     }
-    auto src = trace::TraceSetSource::open(args[0]);
-    size_t s = src->findStream(stream);
-    if (s == trace::TraceSetSource::npos) {
+    trace::TraceSetReader reader(args[0]);
+    size_t s = reader.findStream(stream);
+    if (s == trace::TraceSetReader::npos) {
         std::fprintf(stderr, "no stream named '%s' in %s\n",
                      stream.c_str(), args[0].c_str());
         return 1;
@@ -656,10 +675,10 @@ try {
     trace::TraceSetWriter writer(args[1],
                                  uint32_t(opts.chunkRecords));
     writer.beginStream(stream);
-    auto cur = src->cursor(s);
+    trace::ChunkCursor cur(reader, s);
     trace::Record rec;
     uint64_t pos = 0, written = 0;
-    while (written < count && cur->next(rec)) {
+    while (written < count && cur.next(rec)) {
         if (pos++ < from)
             continue;
         writer.record(rec);
@@ -671,15 +690,13 @@ try {
                 (unsigned long long)written, stream.c_str(),
                 args[1].c_str());
     return 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
 }
 
-/** trace merge: combine several set artifacts into one v2 file. */
+/** trace merge: combine several set artifacts into one set. */
 int
 cmdTraceMerge(const CommonOpts &opts,
               const std::vector<std::string> &args)
-try {
+{
     if (args.size() < 2) {
         std::fprintf(stderr,
                      "usage: scifinder trace merge <out> <in>... "
@@ -696,44 +713,6 @@ try {
                 reader.streams().size(),
                 (unsigned long long)reader.totalRecords());
     return 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
-}
-
-/** trace convert: re-encode a set artifact as v2 (or back to v1). */
-int
-cmdTraceConvert(const CommonOpts &opts,
-                const std::vector<std::string> &args_in)
-try {
-    std::vector<std::string> args;
-    uint32_t version = 2;
-    for (const auto &arg : args_in) {
-        if (arg == "--v1")
-            version = 1;
-        else if (arg == "--v2")
-            version = 2;
-        else
-            args.push_back(arg);
-    }
-    if (args.size() != 2) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace convert <in> <out> "
-                     "[--v1] [--chunk-records N]\n");
-        return 2;
-    }
-    trace::convertTraceSet(args[0], args[1], version,
-                           uint32_t(opts.chunkRecords));
-    auto out = trace::TraceSetSource::open(args[1]);
-    uint64_t records = 0;
-    for (size_t s = 0; s < out->streamCount(); ++s)
-        records += out->streamRecords(s);
-    std::printf("converted %s to v%u %s (%zu streams, %llu "
-                "records)\n",
-                args[0].c_str(), version, args[1].c_str(),
-                out->streamCount(), (unsigned long long)records);
-    return 0;
-} catch (const support::IoError &e) {
-    return ioErrorExit(e);
 }
 
 int
@@ -758,35 +737,27 @@ cmdTrace(const std::vector<std::string> &args_in)
             return cmdTraceExtract(opts, rest);
         if (sub == "merge")
             return cmdTraceMerge(opts, rest);
-        if (sub == "convert")
-            return cmdTraceConvert(opts, rest);
     }
-
-    // Legacy mode: write one workload's per-trace binary file.
-    if (args.size() != 2) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace <workload> <out>\n"
-                     "       scifinder trace "
-                     "{capture|dump|count|diff|extract|merge|convert} "
-                     "...\n");
-        return 2;
-    }
-    const auto &w = workloads::byName(args[0]);
-    trace::TraceBuffer buf = workloads::run(w);
-    trace::TraceWriter writer(args[1]);
-    for (const auto &rec : buf.records())
-        writer.record(rec);
-    writer.close();
-    std::printf("wrote %zu records (%zu bytes/record) to %s\n",
-                buf.size(), sizeof(trace::Record), args[1].c_str());
-    return 0;
+    std::fprintf(stderr,
+                 "usage: scifinder trace "
+                 "{capture|dump|count|diff|extract|merge} ...\n");
+    return 2;
 }
 
 /** Phase 1: run the workloads, infer the raw model, persist both. */
 int
-cmdGeneratePhase(const CommonOpts &opts,
-                 const std::vector<std::string> &workloadNames)
+cmdGenerate(const std::vector<std::string> &args_in)
 {
+    std::vector<std::string> workloadNames = args_in;
+    CommonOpts opts;
+    if (!parseCommon(workloadNames, opts))
+        return 2;
+    if (opts.artifactDir.empty()) {
+        std::fprintf(stderr,
+                     "usage: scifinder generate [--jobs N] "
+                     "--artifact-dir D [workload...]\n");
+        return 2;
+    }
     core::ArtifactPaths paths(opts.artifactDir);
     paths.ensureDir();
     auto pool = makePool(opts);
@@ -799,7 +770,7 @@ cmdGeneratePhase(const CommonOpts &opts,
         for (const auto &name : workloadNames)
             list.push_back(&workloads::byName(name));
     }
-    // Out-of-core: workloads seal compressed chunks into the v2 set
+    // Out-of-core: workloads seal compressed chunks into the trace set
     // as they simulate, then invariant generation streams the chunks
     // back a window at a time. Same model as the in-memory run.
     std::vector<std::string> names;
@@ -829,65 +800,6 @@ cmdGeneratePhase(const CommonOpts &opts,
                 (unsigned long long)stats.points, model.size());
     std::printf("wrote %s and %s\n", paths.traces().c_str(),
                 paths.rawModel().c_str());
-    return 0;
-}
-
-int
-cmdGenerate(const std::vector<std::string> &args_in)
-{
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (!opts.artifactDir.empty())
-        return cmdGeneratePhase(opts, args);
-
-    // Legacy mode: infer from previously written trace files.
-    std::string outPath;
-    for (size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == "-o") {
-            outPath = args[i + 1];
-            args.erase(args.begin() + long(i),
-                       args.begin() + long(i) + 2);
-            break;
-        }
-    }
-    if (args.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder generate [--jobs N] "
-                     "--artifact-dir D [workload...]\n"
-                     "       scifinder generate [-o invs.txt] "
-                     "<trace>...\n");
-        return 2;
-    }
-    std::vector<trace::TraceBuffer> buffers;
-    for (const auto &path : args) {
-        trace::TraceReader reader(path);
-        trace::TraceBuffer buf;
-        reader.readAll(buf);
-        std::printf("loaded %zu records from %s\n", buf.size(),
-                    path.c_str());
-        buffers.push_back(std::move(buf));
-    }
-    std::vector<const trace::TraceBuffer *> ptrs;
-    for (const auto &b : buffers)
-        ptrs.push_back(&b);
-
-    invgen::GenStats stats;
-    invgen::InvariantSet set = invgen::generate(ptrs, {}, &stats);
-    auto optStats = opt::optimize(set);
-    std::printf("%llu program points, %zu raw invariants, %zu after "
-                "optimization\n",
-                (unsigned long long)stats.points,
-                optStats[0].invariantsBefore, set.size());
-    if (!outPath.empty()) {
-        set.saveText(outPath);
-        std::printf("wrote the invariant model to %s\n",
-                    outPath.c_str());
-    } else {
-        for (size_t i = 0; i < set.size(); ++i)
-            std::printf("%s\n", set.all()[i].str().c_str());
-    }
     return 0;
 }
 
@@ -1092,12 +1004,7 @@ cmdInfer(const std::vector<std::string> &args_in)
                 "threshold\n",
                 inference.semanticRecommended);
 
-    std::ofstream out(paths.inference());
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s\n",
-                     paths.inference().c_str());
-        return 1;
-    }
+    std::ofstream out = openOutput(paths.inference());
     std::vector<size_t> final_set = db.sciIndices();
     final_set.insert(final_set.end(), inference.inferredSci.begin(),
                      inference.inferredSci.end());
@@ -1158,25 +1065,12 @@ cmdAnalyze(const std::vector<std::string> &args_in)
         // Cross-check the model against the persisted training
         // traces: a violation here means an invariant the optimizer
         // kept does not even hold on its own training corpus. The
-        // scan streams the v2 set a chunk at a time (a v1 artifact
-        // is materialized instead).
+        // scan streams the set a chunk at a time.
         REQUIRE_ARTIFACT(paths.traces(), "generate");
         sci::CompiledModel compiled(model);
-        std::set<size_t> violated;
-        if (trace::isTraceSetV2(paths.traces())) {
-            trace::TraceSetReader traces(paths.traces());
-            violated = sci::corpusViolations(compiled, traces,
-                                             pool.get());
-        } else {
-            auto named = trace::loadTraceSet(paths.traces(),
-                                             pool.get());
-            std::vector<trace::TraceBuffer> corpus;
-            corpus.reserve(named.size());
-            for (auto &nt : named)
-                corpus.push_back(std::move(nt.trace));
-            violated = sci::corpusViolations(compiled, corpus,
-                                             pool.get());
-        }
+        trace::TraceSetReader traces(paths.traces());
+        std::set<size_t> violated =
+            sci::corpusViolations(compiled, traces, pool.get());
         audit += "\n== trace audit ==\n";
         audit += format("%zu invariants violated by the training "
                         "traces\n",
@@ -1189,12 +1083,7 @@ cmdAnalyze(const std::vector<std::string> &args_in)
                     violated.size());
     }
 
-    std::ofstream out(paths.analysis(), std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s\n",
-                     paths.analysis().c_str());
-        return 1;
-    }
+    std::ofstream out = openOutput(paths.analysis());
     std::string text = report.render() + audit;
     out << text;
 
@@ -1274,12 +1163,7 @@ cmdAudit(const std::vector<std::string> &args_in)
         sci::audit(model, bugList, db.get(), pool.get());
 
     std::string text = report.render();
-    std::ofstream out(paths.audit(), std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s\n",
-                     paths.audit().c_str());
-        return 1;
-    }
+    std::ofstream out = openOutput(paths.audit());
     out << text;
     std::printf("%s", text.c_str());
     std::printf("\nwrote %s\n", paths.audit().c_str());
@@ -1569,22 +1453,21 @@ cmdServe(const std::vector<std::string> &args_in)
     };
     std::vector<Source> sources;
 
-    std::vector<std::shared_ptr<trace::TraceSetSource>> open;
     for (const auto &path : sets) {
-        std::shared_ptr<trace::TraceSetSource> src =
-            trace::TraceSetSource::open(path);
-        for (size_t s = 0; s < src->streamCount(); ++s) {
+        auto reader = std::make_shared<trace::TraceSetReader>(path);
+        for (size_t s = 0; s < reader->streams().size(); ++s) {
             Source source;
-            source.name = path + ":" + src->streamName(s);
-            source.feed = [src, s](monitor::SessionSink &sink) {
-                auto cur = src->cursor(s);
-                trace::Record rec;
-                while (cur->next(rec))
-                    sink.record(rec);
+            source.name = path + ":" + reader->streams()[s].name;
+            source.feed = [reader, s](monitor::SessionSink &sink) {
+                trace::ChunkCursor cur(*reader, s);
+                trace::TraceBuffer chunk;
+                while (cur.nextChunk(chunk)) {
+                    for (const auto &rec : chunk.records())
+                        sink.record(rec);
+                }
             };
             sources.push_back(std::move(source));
         }
-        open.push_back(std::move(src));
     }
     if (useWorkloads) {
         for (const auto &w : workloads::all()) {
@@ -1674,8 +1557,8 @@ cmdExec(const std::vector<std::string> &args)
     }
     std::ifstream in(args[0]);
     if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", args[0].c_str());
-        return 1;
+        throw support::IoError(
+            args[0], "cannot open '" + args[0] + "'", errno);
     }
     std::stringstream source;
     source << in.rdbuf();
@@ -1754,8 +1637,7 @@ main(int argc, char **argv)
         if (cmd == "exec")
             return cmdExec(args);
     } catch (const support::IoError &e) {
-        std::fprintf(stderr, "scifinder: %s\n", e.what());
-        return 1;
+        return ioErrorExit(e);
     }
     return usage();
 }

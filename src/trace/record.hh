@@ -58,6 +58,19 @@ class Point
         return Point(id >> 5, uint8_t(id & 0x1f));
     }
 
+    /**
+     * @return true if @p id packs an implemented mnemonic (or the
+     * interrupt slot) with a defined exception — the ids fromId()
+     * may be given from untrusted bytes.
+     */
+    static bool
+    validId(uint16_t id)
+    {
+        uint16_t mnem = id >> 5;
+        return (mnem < isa::numMnemonics || mnem == pseudoMnemonic) &&
+               (id & 0x1f) <= uint8_t(isa::Exception::Trap);
+    }
+
     /** @return true for interrupt pseudo points. */
     bool isInterrupt() const { return mnem_ == pseudoMnemonic; }
 

@@ -1,5 +1,6 @@
 #include "store.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -10,7 +11,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "support/binio.hh"
 #include "support/compress.hh"
 #include "support/ioerror.hh"
 #include "support/logging.hh"
@@ -21,21 +21,15 @@ namespace scif::trace {
 
 namespace {
 
-constexpr uint32_t magicV2 = 0x32544353;   // "SCT2"
+constexpr uint32_t setMagic = 0x32544353;    // "SCT2"
 constexpr uint32_t footerMagic = 0x46544353; // "SCTF"
-constexpr uint32_t versionV2 = 2;
-
-constexpr uint32_t setMagicV1 = 0x53435453; // "SCTS"
-constexpr uint32_t setVersionV1 = 1;
+constexpr uint32_t setVersion = 2;
 
 constexpr size_t headerBytes = 16;
 constexpr size_t trailerBytes = 12;
 constexpr size_t maxStreams = size_t(1) << 20;
 constexpr size_t maxNameLen = 4096;
 constexpr size_t maxChunksPerStream = size_t(1) << 28;
-
-/** On-disk size of one v1 set record. */
-constexpr uint64_t v1RecordBytes = 2 + 1 + 8 + 2 * 4 * uint64_t(numVars);
 
 uint64_t
 fnv1a64(const uint8_t *data, size_t n)
@@ -116,8 +110,8 @@ TraceSetWriter::TraceSetWriter(const std::string &path,
             path, "cannot open '" + path + "' for writing", errno);
     }
     std::vector<uint8_t> header;
-    putU32(header, magicV2);
-    putU32(header, versionV2);
+    putU32(header, setMagic);
+    putU32(header, setVersion);
     putU32(header, numVars);
     putU32(header, chunkRecords_);
     writeBlob(header.data(), header.size());
@@ -318,8 +312,8 @@ preadFully(int fd, const std::string &path, void *dst, size_t n,
         }
         if (got == 0) {
             throw support::IoError(
-                path, "trace set '" + path +
-                          "' is truncated or corrupt");
+                path, "trace set '" + path + "' is truncated or corrupt",
+                0, offset);
         }
         p += got;
         n -= size_t(got);
@@ -343,19 +337,22 @@ TraceSetReader::TraceSetReader(const std::string &path) : path_(path)
                 path, "cannot stat trace set '" + path + "'", errno);
         }
         fileSize_ = uint64_t(st.st_size);
-        if (fileSize_ < headerBytes + 8 + trailerBytes)
-            corrupt("is truncated or corrupt");
 
-        uint32_t head[4];
-        preadFully(fd_, path_, head, sizeof(head), 0);
-        if (head[0] != magicV2) {
+        // The magic comes first, so a file of another kind is named
+        // as such however short it is.
+        uint32_t head[4] = {};
+        preadFully(fd_, path_, head,
+                   size_t(std::min<uint64_t>(fileSize_, sizeof(head))), 0);
+        if (fileSize_ >= sizeof(head[0]) && head[0] != setMagic) {
             throw support::IoError(
-                path, "'" + path + "' is not a trace set artifact");
+                path, "'" + path + "' is not a trace set artifact", 0, 0);
         }
-        if (head[1] != versionV2) {
+        if (fileSize_ < headerBytes + 8 + trailerBytes)
+            corrupt("is truncated or corrupt", fileSize_);
+        if (head[1] != setVersion) {
             corrupt("has version " + std::to_string(head[1]) +
                         ", this build reads " +
-                        std::to_string(versionV2),
+                        std::to_string(setVersion),
                     4);
         }
         if (head[2] != numVars) {
@@ -463,6 +460,16 @@ TraceSetReader::totalRecords() const
     return total;
 }
 
+size_t
+TraceSetReader::findStream(const std::string &name) const
+{
+    for (size_t i = 0; i < streams_.size(); ++i) {
+        if (streams_[i].name == name)
+            return i;
+    }
+    return npos;
+}
+
 std::vector<uint8_t>
 TraceSetReader::readRawChunk(size_t stream, size_t chunk) const
 {
@@ -501,7 +508,7 @@ TraceSetReader::readChunk(size_t stream, size_t chunk,
         corrupt("is truncated or corrupt (bad chunk payload)",
                 ref.offset);
     for (size_t i = 0; i < n; ++i) {
-        if (col[i] > UINT16_MAX)
+        if (col[i] > UINT16_MAX || !Point::validId(uint16_t(col[i])))
             corrupt("is truncated or corrupt (bad chunk "
                     "payload)",
                     ref.offset);
@@ -612,24 +619,12 @@ ChunkCursor::next(Record &rec)
 }
 
 // ---------------------------------------------------------------------
-// Convenience writers
-
-bool
-isTraceSetV2(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    uint32_t magic = 0;
-    bool ok = std::fread(&magic, sizeof(magic), 1, f) == 1;
-    std::fclose(f);
-    return ok && magic == magicV2;
-}
+// save / merge / parallel build
 
 void
-saveTraceSetV2(const std::string &path,
-               const std::vector<NamedTrace> &traces,
-               uint32_t chunkRecords)
+saveTraceSet(const std::string &path,
+             const std::vector<NamedTrace> &traces,
+             uint32_t chunkRecords)
 {
     TraceSetWriter out(path, chunkRecords);
     for (const auto &nt : traces) {
@@ -641,283 +636,6 @@ saveTraceSetV2(const std::string &path,
     out.close();
 }
 
-// ---------------------------------------------------------------------
-// Version-agnostic sources
-
-namespace {
-
-class V2Cursor final : public RecordCursor
-{
-  public:
-    V2Cursor(const TraceSetReader &reader, size_t stream)
-        : cursor_(reader, stream)
-    {}
-
-    bool next(Record &rec) override { return cursor_.next(rec); }
-
-  private:
-    ChunkCursor cursor_;
-};
-
-class V2Source final : public TraceSetSource
-{
-  public:
-    explicit V2Source(const std::string &path) : reader_(path) {}
-
-    uint32_t version() const override { return 2; }
-    size_t streamCount() const override
-    {
-        return reader_.streams().size();
-    }
-    const std::string &streamName(size_t i) const override
-    {
-        return reader_.streams()[i].name;
-    }
-    uint64_t streamRecords(size_t i) const override
-    {
-        return reader_.streams()[i].records;
-    }
-    size_t streamChunks(size_t i) const override
-    {
-        return reader_.streams()[i].chunks.size();
-    }
-    std::unique_ptr<RecordCursor> cursor(size_t i) const override
-    {
-        return std::make_unique<V2Cursor>(reader_, i);
-    }
-
-    const TraceSetReader &reader() const { return reader_; }
-
-  private:
-    TraceSetReader reader_;
-};
-
-/** Directory of a v1 set artifact, built by one scan over the file. */
-class V1Source final : public TraceSetSource
-{
-  public:
-    struct Stream
-    {
-        std::string name;
-        uint64_t records = 0;
-        uint64_t offset = 0; ///< file offset of the first record
-    };
-
-    explicit V1Source(const std::string &path) : path_(path)
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f) {
-            throw support::IoError(
-                path, "cannot open trace set '" + path + "'", errno);
-        }
-        try {
-            scan(f);
-        } catch (...) {
-            std::fclose(f);
-            throw;
-        }
-        std::fclose(f);
-    }
-
-    uint32_t version() const override { return 1; }
-    size_t streamCount() const override { return streams_.size(); }
-    const std::string &streamName(size_t i) const override
-    {
-        return streams_[i].name;
-    }
-    uint64_t streamRecords(size_t i) const override
-    {
-        return streams_[i].records;
-    }
-    size_t streamChunks(size_t) const override { return 1; }
-    std::unique_ptr<RecordCursor> cursor(size_t i) const override;
-
-  private:
-    [[noreturn]] void
-    corrupt() const
-    {
-        throw support::IoError(path_, "trace set '" + path_ +
-                                          "' is truncated or corrupt");
-    }
-
-    void
-    need(std::FILE *f, void *dst, size_t n) const
-    {
-        if (std::fread(dst, 1, n, f) != n)
-            corrupt();
-    }
-
-    void
-    scan(std::FILE *f)
-    {
-        if (std::fseek(f, 0, SEEK_END) != 0)
-            corrupt();
-        long size = std::ftell(f);
-        if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0)
-            corrupt();
-        uint64_t fileSize = uint64_t(size);
-
-        uint32_t magic, version, vars;
-        need(f, &magic, sizeof(magic));
-        if (magic != setMagicV1) {
-            throw support::IoError(path_, "'" + path_ +
-                                              "' is not a trace set "
-                                              "artifact");
-        }
-        need(f, &version, sizeof(version));
-        if (version != setVersionV1) {
-            throw support::IoError(
-                path_, "trace set '" + path_ + "' has version " +
-                           std::to_string(version) +
-                           ", this build reads " +
-                           std::to_string(setVersionV1));
-        }
-        need(f, &vars, sizeof(vars));
-        if (vars != numVars) {
-            throw support::IoError(
-                path_, "trace set '" + path_ + "' has " +
-                           std::to_string(vars) +
-                           " vars, this build has " +
-                           std::to_string(numVars));
-        }
-
-        uint64_t count;
-        need(f, &count, sizeof(count));
-        if (count > maxStreams)
-            corrupt();
-        streams_.reserve(size_t(count));
-        uint64_t pos = 4 + 4 + 4 + 8;
-        for (uint64_t i = 0; i < count; ++i) {
-            Stream s;
-            uint32_t nameLen;
-            need(f, &nameLen, sizeof(nameLen));
-            if (nameLen > maxNameLen)
-                corrupt();
-            s.name.resize(nameLen);
-            need(f, s.name.data(), nameLen);
-            need(f, &s.records, sizeof(s.records));
-            pos += 4 + nameLen + 8;
-            s.offset = pos;
-            uint64_t dataBytes = s.records * v1RecordBytes;
-            if (dataBytes > fileSize - pos)
-                corrupt();
-            pos += dataBytes;
-            if (std::fseek(f, long(pos), SEEK_SET) != 0)
-                corrupt();
-            streams_.push_back(std::move(s));
-        }
-        if (pos != fileSize) {
-            throw support::IoError(path_, "trace set '" + path_ +
-                                              "' has trailing garbage");
-        }
-    }
-
-    std::string path_;
-    std::vector<Stream> streams_;
-
-    friend class V1Cursor;
-};
-
-class V1Cursor final : public RecordCursor
-{
-  public:
-    V1Cursor(const V1Source &src, size_t stream)
-        : path_(src.path_), remaining_(src.streams_[stream].records)
-    {
-        file_ = std::fopen(path_.c_str(), "rb");
-        if (!file_) {
-            throw support::IoError(
-                path_, "cannot open trace set '" + path_ + "'", errno);
-        }
-        if (std::fseek(file_, long(src.streams_[stream].offset),
-                       SEEK_SET) != 0) {
-            std::fclose(file_);
-            file_ = nullptr;
-            throw support::IoError(path_,
-                                   "trace set '" + path_ +
-                                       "' is truncated or corrupt");
-        }
-    }
-
-    ~V1Cursor() override
-    {
-        if (file_)
-            std::fclose(file_);
-    }
-
-    bool
-    next(Record &rec) override
-    {
-        if (remaining_ == 0)
-            return false;
-        uint16_t pointId;
-        uint8_t fused;
-        bool ok = std::fread(&pointId, sizeof(pointId), 1, file_) == 1;
-        ok = ok && std::fread(&fused, sizeof(fused), 1, file_) == 1;
-        ok = ok &&
-             std::fread(&rec.index, sizeof(rec.index), 1, file_) == 1;
-        ok = ok && std::fread(rec.pre.data(), sizeof(uint32_t),
-                              numVars, file_) == numVars;
-        ok = ok && std::fread(rec.post.data(), sizeof(uint32_t),
-                              numVars, file_) == numVars;
-        if (!ok) {
-            throw support::IoError(path_,
-                                   "trace set '" + path_ +
-                                       "' is truncated or corrupt");
-        }
-        rec.point = Point::fromId(pointId);
-        rec.fused = fused != 0;
-        --remaining_;
-        return true;
-    }
-
-  private:
-    std::string path_;
-    std::FILE *file_ = nullptr;
-    uint64_t remaining_;
-};
-
-std::unique_ptr<RecordCursor>
-V1Source::cursor(size_t i) const
-{
-    return std::make_unique<V1Cursor>(*this, i);
-}
-
-} // namespace
-
-std::unique_ptr<TraceSetSource>
-TraceSetSource::open(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        throw support::IoError(
-            path, "cannot open trace set '" + path + "'", errno);
-    }
-    uint32_t magic = 0;
-    bool ok = std::fread(&magic, sizeof(magic), 1, f) == 1;
-    std::fclose(f);
-    if (!ok || (magic != magicV2 && magic != setMagicV1)) {
-        throw support::IoError(
-            path, "'" + path + "' is not a trace set artifact");
-    }
-    if (magic == magicV2)
-        return std::make_unique<V2Source>(path);
-    return std::make_unique<V1Source>(path);
-}
-
-size_t
-TraceSetSource::findStream(const std::string &name) const
-{
-    for (size_t i = 0; i < streamCount(); ++i) {
-        if (streamName(i) == name)
-            return i;
-    }
-    return npos;
-}
-
-// ---------------------------------------------------------------------
-// merge / convert / parallel build
-
 void
 mergeTraceSets(const std::string &outPath,
                const std::vector<std::string> &inputs,
@@ -926,85 +644,22 @@ mergeTraceSets(const std::string &outPath,
     TraceSetWriter out(outPath, chunkRecords);
     std::unordered_set<std::string> seen;
     for (const auto &input : inputs) {
-        if (isTraceSetV2(input)) {
-            TraceSetReader reader(input);
-            for (size_t s = 0; s < reader.streams().size(); ++s) {
-                const StreamInfo &info = reader.streams()[s];
-                if (!seen.insert(info.name).second) {
-                    throw support::IoError(
-                        input, "duplicate stream '" + info.name +
-                                   "' in '" + input + "'");
-                }
-                out.beginStream(info.name);
-                for (size_t c = 0; c < info.chunks.size(); ++c) {
-                    out.appendRawChunk(reader.readRawChunk(s, c),
-                                       info.chunks[c]);
-                }
-                out.endStream();
+        TraceSetReader reader(input);
+        for (size_t s = 0; s < reader.streams().size(); ++s) {
+            const StreamInfo &info = reader.streams()[s];
+            if (!seen.insert(info.name).second) {
+                throw support::IoError(
+                    input, "duplicate stream '" + info.name + "' in '" +
+                               input + "'");
             }
-        } else {
-            auto src = TraceSetSource::open(input);
-            for (size_t s = 0; s < src->streamCount(); ++s) {
-                if (!seen.insert(src->streamName(s)).second) {
-                    throw support::IoError(
-                        input, "duplicate stream '" +
-                                   src->streamName(s) + "' in '" +
-                                   input + "'");
-                }
-                out.beginStream(src->streamName(s));
-                auto cursor = src->cursor(s);
-                Record rec;
-                while (cursor->next(rec))
-                    out.record(rec);
-                out.endStream();
-            }
+            out.beginStream(info.name);
+            for (size_t c = 0; c < info.chunks.size(); ++c)
+                out.appendRawChunk(reader.readRawChunk(s, c),
+                                   info.chunks[c]);
+            out.endStream();
         }
     }
     out.close();
-}
-
-void
-convertTraceSet(const std::string &inPath, const std::string &outPath,
-                uint32_t version, uint32_t chunkRecords)
-{
-    auto src = TraceSetSource::open(inPath);
-    if (version == 2) {
-        TraceSetWriter out(outPath, chunkRecords);
-        for (size_t s = 0; s < src->streamCount(); ++s) {
-            out.beginStream(src->streamName(s));
-            auto cursor = src->cursor(s);
-            Record rec;
-            while (cursor->next(rec))
-                out.record(rec);
-            out.endStream();
-        }
-        out.close();
-    } else if (version == 1) {
-        // Must stay byte-identical to saveTraceSet() so a
-        // v1 -> v2 -> v1 round trip reproduces the original file.
-        support::BinWriter out(outPath, setMagicV1, setVersionV1,
-                               support::OnError::Throw);
-        out.u32(numVars);
-        out.u64(src->streamCount());
-        for (size_t s = 0; s < src->streamCount(); ++s) {
-            out.str(src->streamName(s));
-            out.u64(src->streamRecords(s));
-            auto cursor = src->cursor(s);
-            Record rec;
-            while (cursor->next(rec)) {
-                out.u16(rec.point.id());
-                out.u8(rec.fused);
-                out.u64(rec.index);
-                out.bytes(rec.pre.data(), sizeof(uint32_t) * numVars);
-                out.bytes(rec.post.data(), sizeof(uint32_t) * numVars);
-            }
-        }
-        out.close();
-    } else {
-        throw support::IoError(outPath,
-                               "unsupported trace-set version " +
-                                   std::to_string(version));
-    }
 }
 
 std::vector<uint64_t>

@@ -1,16 +1,15 @@
 /**
  * @file
- * Chunked, compressed trace-set store (format v2).
+ * The trace-set store: the one on-disk trace format (SCT2).
  *
- * The v1 trace-set artifact is a single sequential blob: loading any
- * of it means decoding all of it, and writing it means holding every
- * record in memory first. The v2 store splits each workload's stream
- * into fixed-record-count chunks, encodes each chunk column-major
- * (per-column delta + zigzag varints, a packed bit column for flags)
- * and then LZ-compresses it, and ends the file with a chunk directory
- * so any chunk can be located and decompressed independently — the
- * basis for parallel reads and for consumers that stream a corpus with
- * O(chunk x jobs) resident memory instead of O(corpus).
+ * A trace set holds named record streams, one per workload or
+ * program. Each stream is split into fixed-record-count chunks; each
+ * chunk is encoded column-major (per-column delta + zigzag varints, a
+ * packed bit column for flags) and then LZ-compressed, and the file
+ * ends with a chunk directory so any chunk can be located and
+ * decompressed independently — the basis for parallel reads and for
+ * consumers that stream a corpus with O(chunk x jobs) resident memory
+ * instead of O(corpus).
  *
  * Layout:
  *
@@ -23,7 +22,10 @@
  *
  * Both the encoders and the compressor are deterministic, so the same
  * record streams always produce byte-identical files — including when
- * the chunks are produced in parallel and raw-merged.
+ * the chunks are produced in parallel and raw-merged. The reader
+ * treats the file as untrusted bytes: every failure, from a missing
+ * file to a bad directory entry or payload, throws support::IoError
+ * with the path and, for format problems, the byte offset.
  */
 
 #ifndef SCIFINDER_TRACE_STORE_HH
@@ -31,13 +33,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "support/ioerror.hh"
 #include "support/memstats.hh"
-#include "trace/io.hh"
 #include "trace/record.hh"
 
 namespace scif::support {
@@ -48,6 +48,16 @@ namespace scif::trace {
 
 /** Nominal records per chunk when the caller does not choose. */
 constexpr uint32_t defaultChunkRecords = 4096;
+
+/**
+ * One named trace of a trace set: the workload (or program) name plus
+ * its execution trace.
+ */
+struct NamedTrace
+{
+    std::string name;
+    TraceBuffer trace;
+};
 
 /** Directory entry locating one compressed chunk in the file. */
 struct ChunkRef
@@ -68,7 +78,7 @@ struct StreamInfo
 };
 
 /**
- * Incremental v2 writer. Records are staged per stream and sealed
+ * Incremental writer. Records are staged per stream and sealed
  * into compressed chunks every chunkRecords records, so writer memory
  * is bounded by one chunk regardless of stream length. All failures
  * throw support::IoError.
@@ -131,7 +141,7 @@ class TraceSetWriter : public TraceSink
 };
 
 /**
- * Random-access v2 reader. The directory is parsed and validated up
+ * Random-access reader. The directory is parsed and validated up
  * front; chunks are then decompressed on demand via pread, so
  * concurrent readChunk() calls from a thread pool are safe. All
  * failures throw support::IoError.
@@ -153,6 +163,11 @@ class TraceSetReader
     const std::vector<StreamInfo> &streams() const { return streams_; }
 
     uint64_t totalRecords() const;
+
+    /** @return the index of the stream named @p name, or npos. */
+    size_t findStream(const std::string &name) const;
+
+    static constexpr size_t npos = size_t(-1);
 
     /**
      * Decompress, verify, and decode one chunk, appending its records
@@ -204,73 +219,21 @@ class ChunkCursor
     bool buffered_ = false;
 };
 
-/** @return true if @p path starts with the v2 trace-set magic. */
-bool isTraceSetV2(const std::string &path);
-
-/** Persist an in-memory corpus in the v2 format. */
-void saveTraceSetV2(const std::string &path,
-                    const std::vector<NamedTrace> &traces,
-                    uint32_t chunkRecords = defaultChunkRecords);
-
-/** Record-at-a-time iteration over one stream of a set artifact. */
-class RecordCursor
-{
-  public:
-    virtual ~RecordCursor() = default;
-
-    /** @return false when the stream is exhausted. */
-    virtual bool next(Record &rec) = 0;
-};
+/** Persist an in-memory corpus as a trace set. */
+void saveTraceSet(const std::string &path,
+                  const std::vector<NamedTrace> &traces,
+                  uint32_t chunkRecords = defaultChunkRecords);
 
 /**
- * Version-agnostic read access to a trace-set artifact, for tools
- * that must work on both v1 and v2 files (dump, count, diff, ...).
- */
-class TraceSetSource
-{
-  public:
-    /** Sniff the magic and open the right implementation. */
-    static std::unique_ptr<TraceSetSource> open(const std::string &path);
-
-    virtual ~TraceSetSource() = default;
-
-    virtual uint32_t version() const = 0;
-    virtual size_t streamCount() const = 0;
-    virtual const std::string &streamName(size_t i) const = 0;
-    virtual uint64_t streamRecords(size_t i) const = 0;
-
-    /** @return chunk count (a v1 stream counts as one chunk). */
-    virtual size_t streamChunks(size_t i) const = 0;
-
-    /** @return a fresh cursor over stream @p i. */
-    virtual std::unique_ptr<RecordCursor> cursor(size_t i) const = 0;
-
-    /** @return the index of the stream named @p name, or npos. */
-    size_t findStream(const std::string &name) const;
-
-    static constexpr size_t npos = size_t(-1);
-};
-
-/**
- * Merge several set artifacts (v1 or v2) into one v2 file. Chunks of
- * v2 inputs are copied raw; v1 inputs are re-encoded. Duplicate
- * stream names across inputs are an error.
+ * Merge several trace sets into one by copying their chunks verbatim.
+ * Duplicate stream names across inputs are an error.
  */
 void mergeTraceSets(const std::string &outPath,
                     const std::vector<std::string> &inputs,
                     uint32_t chunkRecords = defaultChunkRecords);
 
 /**
- * Re-encode a set artifact as @p version (1 or 2). Converting a file
- * back to its own version re-encodes it; v2 -> v1 -> v2 and
- * v1 -> v2 -> v1 round-trip byte-identically.
- */
-void convertTraceSet(const std::string &inPath,
-                     const std::string &outPath, uint32_t version,
-                     uint32_t chunkRecords = defaultChunkRecords);
-
-/**
- * Produce a v2 set with one stream per @p names entry, calling
+ * Produce a trace set with one stream per @p names entry, calling
  * produce(i, sink) to emit stream i's records. With a pool, streams
  * are produced concurrently into temporary files and raw-merged, so
  * at most (pool threads) chunk stagings are resident at once; the

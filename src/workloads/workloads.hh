@@ -116,7 +116,7 @@ std::vector<Workload> validationPrograms(size_t count = 24,
                                          uint64_t seed = 0x5eed);
 
 /**
- * Generate the validation corpus straight into a chunked v2
+ * Generate the validation corpus straight into a chunked
  * trace-set artifact at @p path — the streaming counterpart of
  * validationCorpus(): the record streams and therefore the artifact
  * bytes are identical for any @p pool, and writer memory stays

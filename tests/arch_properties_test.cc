@@ -54,8 +54,9 @@ TEST_P(RandomSweep, ArchitecturalInvariantsHold)
         EXPECT_EQ(rec.post[VarId::NNPC], rec.post[VarId::NPC] + 4);
 
         // Fetch integrity: the executed word is the memory word.
-        if (!rec.point.isInterrupt())
+        if (!rec.point.isInterrupt()) {
             EXPECT_EQ(rec.post[VarId::INSN], rec.post[VarId::IMEM]);
+        }
 
         // The ISA-correctness witnesses always pass on clean runs.
         EXPECT_EQ(rec.post[VarId::FLAGOK], 1u)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +16,7 @@
 #include "invgen/invgen.hh"
 #include "sci/identify.hh"
 #include "support/ioerror.hh"
-#include "trace/io.hh"
+#include "trace/store.hh"
 #include "workloads/workloads.hh"
 
 namespace scif {
@@ -36,6 +37,37 @@ truncateFile(const std::string &path, uintmax_t keep)
     std::filesystem::resize_file(path, keep);
 }
 
+/** Overwrite the two bytes at @p offset with the u16 @p value. */
+void
+patchU16(const std::string &path, std::streamoff offset, uint16_t value)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    f.seekp(offset);
+    f.write(reinterpret_cast<const char *>(&value), sizeof(value));
+    ASSERT_TRUE(f.good()) << path;
+}
+
+/**
+ * @p load must throw support::IoError naming @p path with @p message
+ * in its text; @return the error for further checks.
+ */
+template <typename Fn>
+support::IoError
+expectRejected(Fn &&load, const std::string &path, const char *message)
+{
+    try {
+        load();
+    } catch (const support::IoError &e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.path(), path);
+        return e;
+    }
+    ADD_FAILURE() << "expected support::IoError (" << message << ")";
+    return support::IoError(path, "not thrown");
+}
+
 std::vector<trace::NamedTrace>
 smallTraceSet()
 {
@@ -52,7 +84,7 @@ TEST(Artifacts, TraceSetRoundTrip)
     auto traces = smallTraceSet();
     std::string path = tmpPath("traces.bin");
     trace::saveTraceSet(path, traces);
-    auto loaded = trace::loadTraceSet(path);
+    auto loaded = trace::TraceSetReader(path).readAll(nullptr);
 
     ASSERT_EQ(loaded.size(), traces.size());
     for (size_t t = 0; t < traces.size(); ++t) {
@@ -136,31 +168,33 @@ TEST(Artifacts, IndexSetRoundTrip)
     EXPECT_TRUE(core::loadIndexSet(path).empty());
 }
 
+// The ArtifactsDeathTest cases date from loaders that exited the
+// process; the loaders now throw, and the suite keeps its name so the
+// test ids stay stable.
+
 TEST(ArtifactsDeathTest, TruncatedIndexSetRejected)
 {
     std::string path = tmpPath("truncated.bin");
     core::saveIndexSet(path, {1, 2, 3});
     truncateFile(path, 12); // header survives, payload cut mid-u64
-    EXPECT_EXIT(core::loadIndexSet(path),
-                ::testing::ExitedWithCode(1), "truncated");
+    auto e = expectRejected([&] { core::loadIndexSet(path); }, path,
+                            "truncated");
+    // The offset names the u64 count that the cut split.
+    EXPECT_TRUE(e.hasOffset());
+    EXPECT_EQ(e.offset(), 8u);
 }
 
 TEST(Artifacts, TruncatedTraceSetRejected)
 {
     // Trace-set loads report I/O failures as structured errors with
-    // the path and cause instead of aborting the process.
+    // the path, cause and offset instead of aborting the process.
     auto traces = smallTraceSet();
     std::string path = tmpPath("truncated-traces.bin");
     trace::saveTraceSet(path, traces);
     truncateFile(path, std::filesystem::file_size(path) / 2);
-    try {
-        trace::loadTraceSet(path);
-        FAIL() << "expected support::IoError";
-    } catch (const support::IoError &e) {
-        EXPECT_NE(std::string(e.what()).find("truncated"),
-                  std::string::npos);
-        EXPECT_EQ(e.path(), path);
-    }
+    auto e = expectRejected([&] { trace::TraceSetReader reader(path); },
+                            path, "truncated");
+    EXPECT_TRUE(e.hasOffset());
 }
 
 TEST(ArtifactsDeathTest, TruncatedModelRejected)
@@ -171,46 +205,124 @@ TEST(ArtifactsDeathTest, TruncatedModelRejected)
     std::string path = tmpPath("truncated-model.bin");
     model.saveBinary(path);
     truncateFile(path, std::filesystem::file_size(path) - 3);
-    EXPECT_EXIT(invgen::InvariantSet::loadBinary(path),
-                ::testing::ExitedWithCode(1), "truncated");
+    auto e = expectRejected(
+        [&] { invgen::InvariantSet::loadBinary(path); }, path,
+        "truncated");
+    EXPECT_TRUE(e.hasOffset());
 }
 
 TEST(ArtifactsDeathTest, WrongMagicRejected)
 {
     std::string path = tmpPath("not-an-artifact.bin");
     std::ofstream(path) << "this is not a binary artifact at all";
-    EXPECT_EXIT(sci::SciDatabase::loadBinary(path),
-                ::testing::ExitedWithCode(1), "not a");
+    auto e = expectRejected(
+        [&] { sci::SciDatabase::loadBinary(path); }, path, "not a");
+    EXPECT_EQ(e.offset(), 0u);
 }
 
 TEST(Artifacts, WrongKindRejected)
 {
-    // An index-set artifact is not a trace set: magic must mismatch,
-    // reported as a structured error rather than a process abort.
+    // An index-set artifact is not a trace set: the magic mismatches,
+    // and the reader says so before it judges the file's size.
     std::string path = tmpPath("kind-mismatch.bin");
     core::saveIndexSet(path, {1});
-    try {
-        trace::loadTraceSet(path);
-        FAIL() << "expected support::IoError";
-    } catch (const support::IoError &e) {
-        EXPECT_NE(std::string(e.what()).find("not a"),
-                  std::string::npos);
-    }
+    expectRejected([&] { trace::TraceSetReader reader(path); }, path,
+                   "not a");
+}
+
+TEST(Artifacts, SciDatabaseCountBeyondFileRejected)
+{
+    // One result whose first index list claims 2^32 entries: the file
+    // ends first, and the loader says so without sizing 32 GiB.
+    sci::SciDatabase db;
+    sci::IdentificationResult r;
+    r.bugId = "b6";
+    db.addResult(r);
+    std::string path = tmpPath("scidb-count.bin");
+    db.saveBinary(path);
+    // Header (8), result count (8), bug id (4 + 2), trueSci count.
+    constexpr std::streamoff trueSciCountAt = 8 + 8 + 4 + 2;
+    patchU16(path, trueSciCountAt + 4, 1); // count = 1 << 32
+    auto e = expectRejected([&] { sci::SciDatabase::loadBinary(path); },
+                            path, "truncated");
+    EXPECT_EQ(e.offset(), std::filesystem::file_size(path));
 }
 
 TEST(ArtifactsDeathTest, TrailingGarbageRejected)
 {
     std::string path = tmpPath("trailing.bin");
     core::saveIndexSet(path, {1, 2});
+    auto size = std::filesystem::file_size(path);
     std::ofstream(path, std::ios::app | std::ios::binary) << "XX";
-    EXPECT_EXIT(core::loadIndexSet(path),
-                ::testing::ExitedWithCode(1), "trailing");
+    auto e = expectRejected([&] { core::loadIndexSet(path); }, path,
+                            "trailing");
+    EXPECT_EQ(e.offset(), size);
 }
 
 TEST(ArtifactsDeathTest, MissingFileRejected)
 {
-    EXPECT_EXIT(core::loadIndexSet(tmpPath("does-not-exist.bin")),
-                ::testing::ExitedWithCode(1), "cannot open");
+    std::string path = tmpPath("does-not-exist.bin");
+    auto e = expectRejected([&] { core::loadIndexSet(path); }, path,
+                            "cannot open");
+    EXPECT_EQ(e.errnum(), ENOENT);
+    EXPECT_FALSE(e.hasOffset());
+}
+
+/**
+ * A one-invariant model file. Its first invariant starts at byte 16
+ * (after the 8-byte header and the u64 count) with the u16 point id;
+ * the comparison byte follows, then the left operand, whose first
+ * variable id sits 6 bytes in (after isConst and constVal).
+ */
+constexpr std::streamoff pointIdAt = 16;
+constexpr std::streamoff lhsVarAt = 16 + 2 + 1 + 1 + 4;
+
+std::string
+oneInvariantModel(const std::string &name)
+{
+    invgen::InvariantSet model;
+    model.add(expr::Invariant::parse("l.add -> GPR3 == 0"));
+    std::string path = tmpPath(name);
+    model.saveBinary(path);
+    EXPECT_EQ(invgen::InvariantSet::loadBinary(path).size(), 1u);
+    return path;
+}
+
+TEST(Artifacts, ModelVariableIdOutOfRangeRejected)
+{
+    // A variable id beyond the schema would index past every record's
+    // value array; the loader rejects it and names where it sits.
+    std::string path = oneInvariantModel("bad-var.bin");
+    patchU16(path, lhsVarAt, 0xffff);
+    auto e = expectRejected(
+        [&] { invgen::InvariantSet::loadBinary(path); }, path,
+        "variable id 65535");
+    EXPECT_EQ(e.offset(), uint64_t(lhsVarAt));
+
+    patchU16(path, lhsVarAt, trace::numVars);
+    expectRejected([&] { invgen::InvariantSet::loadBinary(path); },
+                   path, "variable id");
+}
+
+TEST(Artifacts, ModelPointIdOutOfRangeRejected)
+{
+    std::string path = oneInvariantModel("bad-point.bin");
+
+    // A mnemonic that is neither an instruction nor the interrupt
+    // slot.
+    patchU16(path, pointIdAt, 0xffff);
+    auto e = expectRejected(
+        [&] { invgen::InvariantSet::loadBinary(path); }, path,
+        "point id 65535");
+    EXPECT_EQ(e.offset(), uint64_t(pointIdAt));
+
+    // A real mnemonic qualified by an undefined exception.
+    uint16_t badException =
+        uint16_t(trace::Point::insn(isa::Mnemonic::L_ADD).id() | 0x1f);
+    patchU16(path, pointIdAt, badException);
+    e = expectRejected([&] { invgen::InvariantSet::loadBinary(path); },
+                       path, "point id");
+    EXPECT_EQ(e.offset(), uint64_t(pointIdAt));
 }
 
 } // namespace

@@ -168,8 +168,9 @@ TEST(MutationCoverage, CorpusKillsEveryTable1Mutation)
     for (const MutationScore &s : report.scores) {
         EXPECT_FALSE(s.bugId.empty());
         EXPECT_EQ(s.programs, corpus.size());
-        if (!s.heldOut)
+        if (!s.heldOut) {
             EXPECT_GT(s.kills, 0u) << s.bugId;
+        }
     }
 }
 

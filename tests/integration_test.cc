@@ -159,8 +159,9 @@ TEST(Pipeline, SixteenOfSeventeenBugsIdentified)
             ++detected;
         // The paper's one negative result: the b2 pipeline stall is
         // invisible at the ISA level.
-        if (res.bugId == "b2")
+        if (res.bugId == "b2") {
             EXPECT_TRUE(res.trueSci.empty());
+        }
     }
     EXPECT_EQ(detected, 16);
 }
@@ -238,8 +239,9 @@ TEST(Pipeline, HeldOutDetectionTwelveOfFourteen)
         bool d = detectsDynamically(assertions, *bug);
         detected += d;
         // The two microarchitecturally invisible bugs stay hidden.
-        if (bug->id == "h13" || bug->id == "h14")
+        if (bug->id == "h13" || bug->id == "h14") {
             EXPECT_FALSE(d) << bug->id;
+        }
     }
     EXPECT_EQ(detected, 12);
 }

@@ -203,19 +203,20 @@ TEST(Generate, ConfidenceGateOnBinaryVariables)
 
 TEST(InvariantSetOps, TextPersistenceRoundTrips)
 {
+    // Every generated invariant's str() form parses back to the same
+    // invariant, so the text reports name the model exactly.
     std::vector<trace::TraceBuffer> buffers;
     buffers.push_back(workloads::run(workloads::byName("gzip")));
     std::vector<const trace::TraceBuffer *> ptrs = {&buffers[0]};
     InvariantSet set = generate(ptrs);
     ASSERT_GT(set.size(), 100u);
 
-    std::string path = testing::TempDir() + "scif_invs.txt";
-    set.saveText(path);
-    InvariantSet loaded = InvariantSet::loadText(path);
-    std::remove(path.c_str());
+    InvariantSet parsed;
+    for (const auto &inv : set.all())
+        parsed.add(expr::Invariant::parse(inv.str()));
 
-    EXPECT_EQ(loaded.size(), set.size());
-    EXPECT_EQ(loaded.keys(), set.keys());
+    EXPECT_EQ(parsed.size(), set.size());
+    EXPECT_EQ(parsed.keys(), set.keys());
 }
 
 TEST(InvariantSetOps, AddDedupsAndIndexes)

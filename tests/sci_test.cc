@@ -103,8 +103,9 @@ TEST(Catalog, ThirtyPropertiesWithExpectedScoping)
 
     // Every expressible property has a matcher.
     for (const auto &p : cat) {
-        if (p.expressibility == Expressibility::Yes)
+        if (p.expressibility == Expressibility::Yes) {
             EXPECT_TRUE(bool(p.matches)) << p.id;
+        }
     }
 }
 

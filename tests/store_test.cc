@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the chunked compressed trace-set store (format v2): the
+ * Tests for the chunked compressed trace-set store (SCT2): the
  * varint/delta codec, the LZ compressor, chunk-boundary round trips,
- * corruption rejection, v1 interoperability, parallel-read
+ * corruption rejection, stream lookup and merging, parallel-read
  * determinism, and the streaming consumers (invariant generation,
  * violation scans, the full pipeline) whose outputs must be identical
  * to the in-memory paths.
@@ -22,7 +22,6 @@
 #include "support/ioerror.hh"
 #include "support/threadpool.hh"
 #include "trace/codec.hh"
-#include "trace/io.hh"
 #include "trace/store.hh"
 #include "workloads/workloads.hh"
 
@@ -179,9 +178,8 @@ TEST(TraceStoreV2, ChunkBoundaryRoundTrip)
     // trip.
     auto traces = syntheticSet({0, 1, 6, 7, 8, 14, 20});
     std::string path = tmpPath("boundary.v2");
-    trace::saveTraceSetV2(path, traces, 7);
+    trace::saveTraceSet(path, traces, 7);
 
-    ASSERT_TRUE(trace::isTraceSetV2(path));
     trace::TraceSetReader reader(path);
     EXPECT_EQ(reader.chunkRecords(), 7u);
     ASSERT_EQ(reader.streams().size(), traces.size());
@@ -191,15 +189,12 @@ TEST(TraceStoreV2, ChunkBoundaryRoundTrip)
     EXPECT_EQ(reader.totalRecords(), 56u);
 
     expectSameRecords(reader.readAll(nullptr), traces);
-
-    // The generic loader sniffs the v2 magic.
-    expectSameRecords(trace::loadTraceSet(path), traces);
 }
 
 TEST(TraceStoreV2, EmptySet)
 {
     std::string path = tmpPath("empty.v2");
-    trace::saveTraceSetV2(path, {}, 4);
+    trace::saveTraceSet(path, {}, 4);
     trace::TraceSetReader reader(path);
     EXPECT_EQ(reader.streams().size(), 0u);
     EXPECT_TRUE(reader.readAll(nullptr).empty());
@@ -209,7 +204,7 @@ TEST(TraceStoreV2, ParallelReadDeterminism)
 {
     auto traces = syntheticSet({100, 3, 250, 0, 57});
     std::string path = tmpPath("parallel.v2");
-    trace::saveTraceSetV2(path, traces, 16);
+    trace::saveTraceSet(path, traces, 16);
 
     trace::TraceSetReader reader(path);
     auto serial = reader.readAll(nullptr);
@@ -245,58 +240,43 @@ TEST(TraceStoreV2, ParallelBuildByteIdentical)
     EXPECT_EQ(readFile(serialPath), readFile(poolPath));
 }
 
-TEST(TraceStoreV2, ConvertRoundTrip)
-{
-    auto traces = syntheticSet({40, 11});
-    std::string v1 = tmpPath("convert.v1");
-    trace::saveTraceSet(v1, traces);
-
-    // v1 -> v2 preserves every record.
-    std::string v2 = tmpPath("convert.v2");
-    trace::convertTraceSet(v1, v2, 2, 8);
-    trace::TraceSetReader reader(v2);
-    expectSameRecords(reader.readAll(nullptr), traces);
-
-    // v2 -> v1 reproduces the original file byte for byte.
-    std::string back = tmpPath("convert-back.v1");
-    trace::convertTraceSet(v2, back, 1);
-    EXPECT_EQ(readFile(back), readFile(v1));
-
-    // ...so v1 -> v2 -> v1 round-trips exactly, and re-encoding the
-    // v2 file is idempotent.
-    std::string again = tmpPath("convert-again.v2");
-    trace::convertTraceSet(v2, again, 2, 8);
-    EXPECT_EQ(readFile(again), readFile(v2));
-}
-
-TEST(TraceStoreV2, SourceReadsBothVersions)
+TEST(TraceStoreV2, FindStreamAndChunkCursor)
 {
     auto traces = syntheticSet({13, 5});
-    std::string v1 = tmpPath("source.v1");
-    std::string v2 = tmpPath("source.v2");
-    trace::saveTraceSet(v1, traces);
-    trace::saveTraceSetV2(v2, traces, 4);
+    std::string path = tmpPath("cursor.v2");
+    trace::saveTraceSet(path, traces, 4);
 
-    for (const auto &path : {v1, v2}) {
-        auto src = trace::TraceSetSource::open(path);
-        ASSERT_EQ(src->streamCount(), 2u);
-        EXPECT_EQ(src->streamName(0), "stream-0");
-        EXPECT_EQ(src->streamRecords(0), 13u);
-        EXPECT_EQ(src->findStream("stream-1"), 1u);
-        EXPECT_EQ(src->findStream("nope"),
-                  trace::TraceSetSource::npos);
-        size_t n = 0;
-        trace::Record rec;
-        auto cur = src->cursor(0);
-        while (cur->next(rec)) {
-            const auto &want = traces[0].trace.records()[n++];
-            ASSERT_EQ(rec.index, want.index);
-            ASSERT_EQ(rec.pre, want.pre);
-        }
-        EXPECT_EQ(n, 13u);
+    trace::TraceSetReader reader(path);
+    ASSERT_EQ(reader.streams().size(), 2u);
+    EXPECT_EQ(reader.streams()[0].name, "stream-0");
+    EXPECT_EQ(reader.streams()[0].records, 13u);
+    EXPECT_EQ(reader.findStream("stream-0"), 0u);
+    EXPECT_EQ(reader.findStream("stream-1"), 1u);
+    EXPECT_EQ(reader.findStream("nope"), trace::TraceSetReader::npos);
+
+    // Record at a time, across chunk boundaries (13 = 4 + 4 + 4 + 1).
+    size_t n = 0;
+    trace::Record rec;
+    trace::ChunkCursor cur(reader, 0);
+    while (cur.next(rec)) {
+        ASSERT_LT(n, traces[0].trace.size());
+        const auto &want = traces[0].trace.records()[n++];
+        ASSERT_EQ(rec.index, want.index);
+        ASSERT_EQ(rec.pre, want.pre);
+        ASSERT_EQ(rec.post, want.post);
     }
-    EXPECT_EQ(trace::TraceSetSource::open(v1)->version(), 1u);
-    EXPECT_EQ(trace::TraceSetSource::open(v2)->version(), 2u);
+    EXPECT_EQ(n, 13u);
+    EXPECT_FALSE(cur.next(rec));
+
+    // A chunk at a time: each call replaces the buffer.
+    trace::ChunkCursor chunks(reader, 1);
+    trace::TraceBuffer chunk;
+    std::vector<size_t> sizes;
+    while (chunks.nextChunk(chunk))
+        sizes.push_back(chunk.size());
+    EXPECT_EQ(sizes, (std::vector<size_t>{4, 1}));
+    EXPECT_EQ(chunk.records().back().index,
+              traces[1].trace.records().back().index);
 }
 
 TEST(TraceStoreV2, MergePreservesStreams)
@@ -305,9 +285,9 @@ TEST(TraceStoreV2, MergePreservesStreams)
     auto setB = syntheticSet({4});
     setB[0].name = "other";
     std::string a = tmpPath("merge-a.v2");
-    std::string b = tmpPath("merge-b.v1");
-    trace::saveTraceSetV2(a, setA, 8);
-    trace::saveTraceSet(b, setB); // v1 input is re-encoded
+    std::string b = tmpPath("merge-b.v2");
+    trace::saveTraceSet(a, setA, 8);
+    trace::saveTraceSet(b, setB, 3);
 
     std::string merged = tmpPath("merged.v2");
     trace::mergeTraceSets(merged, {a, b}, 8);
@@ -318,6 +298,12 @@ TEST(TraceStoreV2, MergePreservesStreams)
     want.push_back(std::move(setB[0]));
     expectSameRecords(all, want);
 
+    // Chunks are copied verbatim, keeping each input's chunking.
+    trace::TraceSetReader readerB(b);
+    ASSERT_EQ(reader.streams()[2].chunks.size(), 2u);
+    for (size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(reader.readRawChunk(2, c), readerB.readRawChunk(0, c));
+
     // Duplicate stream names across inputs are an error.
     EXPECT_THROW(trace::mergeTraceSets(tmpPath("dup.v2"), {a, a}, 8),
                  support::IoError);
@@ -327,7 +313,7 @@ TEST(TraceStoreV2, CorruptionRejected)
 {
     auto traces = syntheticSet({64});
     std::string path = tmpPath("corrupt.v2");
-    trace::saveTraceSetV2(path, traces, 16);
+    trace::saveTraceSet(path, traces, 16);
     auto pristine = readFile(path);
 
     auto writeBytes = [&](const std::vector<uint8_t> &bytes) {
@@ -488,7 +474,7 @@ TEST(TraceStoreV2, ExtremeDeltaRecordsRoundTrip)
         nt.trace.record(rec);
     }
     std::string path = tmpPath("extremes.v2");
-    trace::saveTraceSetV2(path, {nt}, 16);
+    trace::saveTraceSet(path, {nt}, 16);
     trace::TraceSetReader reader(path);
     expectSameRecords(reader.readAll(nullptr), {nt});
 }
@@ -510,7 +496,7 @@ TEST(TraceStoreV2, IncompressibleColumnsRoundTrip)
         nt.trace.record(rec);
     }
     std::string path = tmpPath("noise.v2");
-    trace::saveTraceSetV2(path, {nt}, 64);
+    trace::saveTraceSet(path, {nt}, 64);
     trace::TraceSetReader reader(path);
     for (const auto &ref : reader.streams()[0].chunks) {
         // Random payloads cannot compress meaningfully: the stored
@@ -526,7 +512,7 @@ TEST(TraceStoreV2, CorruptedFooterDirectoryRejected)
 {
     auto traces = syntheticSet({40, 9});
     std::string path = tmpPath("footer.v2");
-    trace::saveTraceSetV2(path, traces, 8);
+    trace::saveTraceSet(path, traces, 8);
     auto pristine = readFile(path);
     ASSERT_GT(pristine.size(), 12u);
 
@@ -614,7 +600,7 @@ TEST(TraceStoreStreaming, GenerateMatchesBatch)
 {
     auto traces = workloadSet();
     std::string path = tmpPath("gen.v2");
-    trace::saveTraceSetV2(path, traces, 512); // force many chunks
+    trace::saveTraceSet(path, traces, 512); // force many chunks
 
     std::vector<const trace::TraceBuffer *> ptrs;
     for (const auto &nt : traces)
@@ -656,7 +642,7 @@ TEST(TraceStoreStreaming, CorpusViolationsMatchInMemory)
         named.push_back(trace::NamedTrace{name, corpus.back()});
     }
     std::string path = tmpPath("scan.v2");
-    trace::saveTraceSetV2(path, named, 256);
+    trace::saveTraceSet(path, named, 256);
 
     sci::CompiledModel compiled(model);
     auto inMemory = sci::corpusViolations(compiled, corpus, nullptr);
