@@ -50,9 +50,10 @@ identifyB2(bool uarch)
     // validation pass prunes over-fitted candidates as usual.
     bugs::Bug bug = bugs::byId("b2");
     bug.config.uarchTrace = uarch;
+    sci::CompiledModel compiled(set);
     auto nonInvariant =
-        sci::corpusViolations(set, workloads::validationCorpus(8));
-    auto result = sci::identify(set, bug, nonInvariant);
+        sci::corpusViolations(compiled, workloads::validationCorpus(8));
+    auto result = sci::identify(compiled, bug, nonInvariant);
     return {std::move(set), std::move(result)};
 }
 

@@ -305,7 +305,8 @@ phaseIdentification(benchmark::State &state)
 {
     const auto &r = bench::pipeline();
     for (auto _ : state) {
-        auto res = sci::identify(r.model, bugs::byId("b5"),
+        auto res = sci::identify(sci::CompiledModel(r.model),
+                                 bugs::byId("b5"),
                                  r.validationViolations);
         benchmark::DoNotOptimize(res.trueSci.size());
     }

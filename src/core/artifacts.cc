@@ -35,6 +35,16 @@ ArtifactPaths::exists(const std::string &path)
 }
 
 void
+requireArtifact(const std::string &path, const char *producer)
+{
+    if (!ArtifactPaths::exists(path)) {
+        throw MissingArtifact("missing artifact " + path +
+                              " (run 'scifinder " + producer +
+                              "' first)");
+    }
+}
+
+void
 saveIndexSet(const std::string &path, const std::set<size_t> &indices)
 {
     support::BinWriter out(path, indexMagic, indexVersion);
@@ -45,7 +55,7 @@ saveIndexSet(const std::string &path, const std::set<size_t> &indices)
 }
 
 std::set<size_t>
-loadIndexSet(const std::string &path)
+loadIndexSet(const std::string &path, size_t modelSize)
 {
     support::BinReader in(path, indexMagic, indexVersion,
                           "index set");
@@ -55,8 +65,16 @@ loadIndexSet(const std::string &path)
         in.corrupt(sizeof(count),
                    format("%llu entries", (unsigned long long)count));
     }
-    for (uint64_t i = 0; i < count; ++i)
-        out.insert(size_t(in.u64()));
+    for (uint64_t i = 0; i < count; ++i) {
+        uint64_t idx = in.u64();
+        if (idx >= modelSize) {
+            in.corrupt(sizeof(idx),
+                       format("index %llu is beyond the %zu-invariant "
+                              "model",
+                              (unsigned long long)idx, modelSize));
+        }
+        out.insert(size_t(idx));
+    }
     in.expectEof();
     return out;
 }

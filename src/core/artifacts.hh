@@ -16,17 +16,21 @@
  *     analysis.txt        analyze   static invariant classification
  *     audit.txt           audit     security-dataflow bug audit
  *
- * The serializers themselves live with their types (trace/store.hh,
- * invgen::InvariantSet, sci::SciDatabase); this module owns the
- * directory layout plus the small index-set artifact used for the
- * validation violations. Every one of them reports a failed read or
- * write by throwing support::IoError.
+ * Which phase reads and writes which file is decided in one place, the
+ * phase functions of core/scifinder.hh. The serializers themselves
+ * live with their types (trace/store.hh, invgen::InvariantSet,
+ * sci::SciDatabase); this module owns the directory layout plus the
+ * small index-set artifact used for the validation violations. Every
+ * one of them reports a failed read or write by throwing
+ * support::IoError; a phase input that is not there at all is a
+ * MissingArtifact.
  */
 
 #ifndef SCIFINDER_CORE_ARTIFACTS_HH
 #define SCIFINDER_CORE_ARTIFACTS_HH
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 namespace scif::core {
@@ -65,13 +69,29 @@ class ArtifactPaths
     std::string dir_;
 };
 
+/** An input artifact that does not exist; the message names the
+ *  subcommand that writes it. */
+class MissingArtifact : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Throw MissingArtifact unless @p path exists; @p producer is the
+ *  scifinder subcommand that writes it. */
+void requireArtifact(const std::string &path, const char *producer);
+
 /** Persist a set of invariant indices as a versioned artifact. */
 void saveIndexSet(const std::string &path,
                   const std::set<size_t> &indices);
 
-/** Load an index-set artifact; throws support::IoError on
- *  truncation or corruption. */
-std::set<size_t> loadIndexSet(const std::string &path);
+/**
+ * Load an index-set artifact whose indices point into a model of
+ * @p modelSize invariants; throws support::IoError on truncation,
+ * corruption, or an index at or beyond @p modelSize (at its offset).
+ */
+std::set<size_t> loadIndexSet(const std::string &path,
+                              size_t modelSize);
 
 } // namespace scif::core
 

@@ -52,6 +52,28 @@ resolveBugs(const PipelineConfig &config)
     return list;
 }
 
+/** Seed of the simulated expert's validation corpus (§5.7). */
+constexpr uint64_t validationSeed = 0x5eed;
+
+/**
+ * Whether a phase reads its inputs from the artifact directory: it
+ * does when it persists and starts @p result; a later phase of the
+ * same run finds them in @p result.
+ */
+bool
+readsInputs(const PipelineConfig &config, const PipelineResult &result)
+{
+    return !config.artifactDir.empty() && result.stages.empty();
+}
+
+/** Load an optimized or raw model artifact that @p producer writes. */
+invgen::InvariantSet
+loadModel(const std::string &path, const char *producer)
+{
+    requireArtifact(path, producer);
+    return invgen::InvariantSet::loadBinary(path);
+}
+
 /** The phase-4 human-readable artifact: the final SCI report. */
 void
 writeInferenceReport(const std::string &path,
@@ -85,15 +107,33 @@ runPipeline(const PipelineConfig &config)
     std::unique_ptr<support::ThreadPool> pool;
     if (jobs > 1)
         pool = std::make_unique<support::ThreadPool>(jobs);
-    StageContext ctx(pool.get(), &result.stages);
 
+    generatePhase(config, pool.get(), result);
+    optimizePhase(config, pool.get(), result);
+    identifyPhase(config, pool.get(), result);
+    if (config.runInference)
+        inferPhase(config, pool.get(), result);
+
+    StageContext ctx(pool.get(), &result.stages);
+    result.timing.traceGeneration = ctx.seconds("trace-generation");
+    result.timing.invariantGeneration =
+        ctx.seconds("invariant-generation");
+    result.timing.optimization = ctx.seconds("optimization");
+    result.timing.identification = ctx.seconds("identification");
+    result.timing.inference = ctx.seconds("inference");
+    return result;
+}
+
+void
+generatePhase(const PipelineConfig &config, support::ThreadPool *pool,
+              PipelineResult &result, invgen::GenStats *stats)
+{
+    StageContext ctx(pool, &result.stages);
     const bool persist = !config.artifactDir.empty();
     ArtifactPaths paths(config.artifactDir);
     if (persist)
         paths.ensureDir();
 
-    // ---- phase 1: trace + invariant generation ----
-    //
     // Default front end: predecoded simulation scattering records
     // straight into per-point columns (no AoS intermediate); the
     // trace artifact is reconstructed from the captures on demand.
@@ -134,10 +174,11 @@ runPipeline(const PipelineConfig &config)
         // -- phase 1b: streaming invariant generation --
         Stage<std::vector<uint64_t>, invgen::InvariantSet> genStage(
             "invariant-generation",
-            [&config, &paths](StageContext &sc, std::vector<uint64_t> &) {
+            [&config, &paths, stats](StageContext &sc,
+                                     std::vector<uint64_t> &) {
                 trace::TraceSetReader reader(paths.traces());
                 return invgen::generateStreaming(
-                    reader, config.generation, nullptr, sc.pool());
+                    reader, config.generation, stats, sc.pool());
             });
         result.model = genStage.run(ctx, counts);
     } else if (config.interpretedSim) {
@@ -165,13 +206,13 @@ runPipeline(const PipelineConfig &config)
         // -- phase 1b: invariant generation (fans out per point) --
         Stage<std::vector<trace::NamedTrace>, invgen::InvariantSet>
             genStage("invariant-generation",
-                     [&config](StageContext &sc,
-                               std::vector<trace::NamedTrace> &in) {
+                     [&config, stats](StageContext &sc,
+                                      std::vector<trace::NamedTrace> &in) {
                          std::vector<const trace::TraceBuffer *> ptrs;
                          for (const auto &nt : in)
                              ptrs.push_back(&nt.trace);
                          return invgen::generate(ptrs, config.generation,
-                                                 nullptr, sc.pool());
+                                                 stats, sc.pool());
                      });
         result.model = genStage.run(ctx, traces);
     } else {
@@ -198,15 +239,15 @@ runPipeline(const PipelineConfig &config)
         //    (the AoS-to-SoA transpose never happens) --
         Stage<std::vector<trace::NamedCapture>, invgen::InvariantSet>
             genStage("invariant-generation",
-                     [&config](StageContext &sc,
-                               std::vector<trace::NamedCapture> &in) {
+                     [&config, stats](StageContext &sc,
+                                      std::vector<trace::NamedCapture> &in) {
                          std::vector<const trace::ColumnarCapture *>
                              caps;
                          for (const auto &nc : in)
                              caps.push_back(&nc.capture);
                          return invgen::generate(
                              trace::ColumnarCapture::seal(caps),
-                             config.generation, nullptr, sc.pool());
+                             config.generation, stats, sc.pool());
                      });
         result.model = genStage.run(ctx, captures);
     }
@@ -214,8 +255,21 @@ runPipeline(const PipelineConfig &config)
     result.rawVariables = result.model.variableCount();
     if (persist)
         result.model.saveBinary(paths.rawModel());
+}
 
-    // ---- phase 2: optimization (rewrites the model in place) ----
+void
+optimizePhase(const PipelineConfig &config, support::ThreadPool *pool,
+              PipelineResult &result)
+{
+    ArtifactPaths paths(config.artifactDir);
+    if (readsInputs(config, result)) {
+        result.model = loadModel(paths.rawModel(), "generate");
+        result.rawInvariants = result.model.size();
+        result.rawVariables = result.model.variableCount();
+    }
+
+    // The optimizer rewrites the model in place.
+    StageContext ctx(pool, &result.stages);
     Stage<invgen::InvariantSet, std::vector<opt::PassStats>> optStage(
         "optimization",
         [](StageContext &, invgen::InvariantSet &m) {
@@ -225,20 +279,32 @@ runPipeline(const PipelineConfig &config)
             return uint64_t(m.size());
         });
     result.optimizationStats = optStage.run(ctx, result.model);
-    if (persist)
+    if (!config.artifactDir.empty())
         result.model.saveBinary(paths.model());
+}
 
-    // ---- phase 3: identification (fans out per bug, with the
-    //      simulated expert's validation corpus fanned per program) --
+void
+identifyPhase(const PipelineConfig &config, support::ThreadPool *pool,
+              PipelineResult &result,
+              std::vector<sci::TriageReport> *triage)
+{
+    const bool persist = !config.artifactDir.empty();
+    ArtifactPaths paths(config.artifactDir);
+    if (readsInputs(config, result))
+        result.model = loadModel(paths.model(), "optimize");
+
+    // Fans out per bug, with the simulated expert's validation corpus
+    // fanned out per program.
     struct IdentOutput
     {
         std::set<size_t> violations;
         sci::SciDatabase db;
     };
+    StageContext ctx(pool, &result.stages);
     Stage<invgen::InvariantSet, IdentOutput> identStage(
         "identification",
-        [&config, persist, &paths](StageContext &sc,
-                                   invgen::InvariantSet &model) {
+        [&config, persist, &paths, triage](StageContext &sc,
+                                           invgen::InvariantSet &model) {
             IdentOutput out;
             // Compile the model once for both the validation-corpus
             // scan and the per-bug identification sweeps.
@@ -250,22 +316,25 @@ runPipeline(const PipelineConfig &config)
                 // chunk at a time. Same violation set as the
                 // in-memory corpus scan.
                 workloads::validationCorpusToStore(
-                    paths.validation(), config.validationPrograms, 0x5eed,
-                    sc.pool(), config.interpretedSim,
+                    paths.validation(), config.validationPrograms,
+                    validationSeed, sc.pool(), config.interpretedSim,
                     config.traceChunkRecords);
                 trace::TraceSetReader validation(paths.validation());
                 out.violations = sci::corpusViolations(
                     compiled, validation, sc.pool());
             } else {
                 auto validation = workloads::validationCorpus(
-                    config.validationPrograms, 0x5eed, sc.pool(),
-                    config.interpretedSim);
+                    config.validationPrograms, validationSeed,
+                    sc.pool(), config.interpretedSim);
                 out.violations = sci::corpusViolations(
                     compiled, validation, sc.pool());
             }
+            // With a triage report the buggy-trace scans run in
+            // static triage order; the violation sets, and so every
+            // artifact, are unchanged by the ordering.
             out.db = sci::identifyAll(compiled, resolveBugs(config),
                                       out.violations, sc.pool(),
-                                      config.interpretedSim);
+                                      config.interpretedSim, triage);
             return out;
         },
         [](const auto &, const IdentOutput &out) {
@@ -278,32 +347,39 @@ runPipeline(const PipelineConfig &config)
         saveIndexSet(paths.violations(), result.validationViolations);
         result.database.saveBinary(paths.sciDatabase());
     }
+}
 
-    // ---- phase 4: inference ----
-    if (config.runInference) {
-        Stage<invgen::InvariantSet, sci::InferenceResult> inferStage(
-            "inference",
-            [&config, &result](StageContext &sc,
-                               invgen::InvariantSet &model) {
-                return sci::infer(model, result.database,
-                                  result.validationViolations,
-                                  config.inference, sc.pool());
-            },
-            [](const auto &, const sci::InferenceResult &inferred) {
-                return uint64_t(inferred.inferredSci.size());
-            });
-        result.inference = inferStage.run(ctx, result.model);
-        if (persist)
-            writeInferenceReport(paths.inference(), result);
+void
+inferPhase(const PipelineConfig &config, support::ThreadPool *pool,
+           PipelineResult &result)
+{
+    ArtifactPaths paths(config.artifactDir);
+    if (readsInputs(config, result)) {
+        requireArtifact(paths.model(), "optimize");
+        requireArtifact(paths.violations(), "identify");
+        requireArtifact(paths.sciDatabase(), "identify");
+        result.model = invgen::InvariantSet::loadBinary(paths.model());
+        result.validationViolations =
+            loadIndexSet(paths.violations(), result.model.size());
+        result.database = sci::SciDatabase::loadBinary(
+            paths.sciDatabase(), result.model.size());
     }
 
-    result.timing.traceGeneration = ctx.seconds("trace-generation");
-    result.timing.invariantGeneration =
-        ctx.seconds("invariant-generation");
-    result.timing.optimization = ctx.seconds("optimization");
-    result.timing.identification = ctx.seconds("identification");
-    result.timing.inference = ctx.seconds("inference");
-    return result;
+    StageContext ctx(pool, &result.stages);
+    Stage<invgen::InvariantSet, sci::InferenceResult> inferStage(
+        "inference",
+        [&config, &result](StageContext &sc,
+                           invgen::InvariantSet &model) {
+            return sci::infer(model, result.database,
+                              result.validationViolations,
+                              config.inference, sc.pool());
+        },
+        [](const auto &, const sci::InferenceResult &inferred) {
+            return uint64_t(inferred.inferredSci.size());
+        });
+    result.inference = inferStage.run(ctx, result.model);
+    if (!config.artifactDir.empty())
+        writeInferenceReport(paths.inference(), result);
 }
 
 std::vector<monitor::Assertion>

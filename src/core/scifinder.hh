@@ -123,9 +123,49 @@ struct PipelineResult
     std::vector<size_t> finalSci() const;
 };
 
-/** Run the full pipeline. */
+/** Run the full pipeline: the four phases below, in order, on one
+ *  result and one worker pool. */
 PipelineResult runPipeline(const PipelineConfig &config =
                                PipelineConfig());
+
+/**
+ * The four phases, one function each. runPipeline() runs them in
+ * order; the scifinder subcommands generate, optimize, identify and
+ * infer run one each over an artifact directory.
+ *
+ * Each phase records its stages in @p result and leaves its output
+ * there. With config.artifactDir set, it also owns its artifact
+ * contract (the files are listed in core/artifacts.hh): it writes its
+ * output files, and when it starts @p result (no stage recorded yet)
+ * it first reads its inputs from the directory, throwing
+ * MissingArtifact if one is not there; a later phase of the same run
+ * takes them from @p result instead. @p pool (null = serial) carries
+ * the phase's fan-outs.
+ */
+
+/** Phase 1: simulate the workloads (traces.bin) and infer the raw
+ *  model (invariants.raw.bin); @p stats, if given, receives the
+ *  generator's counts. */
+void generatePhase(const PipelineConfig &config,
+                   support::ThreadPool *pool, PipelineResult &result,
+                   invgen::GenStats *stats = nullptr);
+
+/** Phase 2: optimize the raw model into invariants.bin. */
+void optimizePhase(const PipelineConfig &config,
+                   support::ThreadPool *pool, PipelineResult &result);
+
+/** Phase 3: scan the validation corpus (validation.bin, seed 0x5eed)
+ *  and identify the SCI of the configured bugs (violations.bin,
+ *  scidb.bin); @p triage, if given, receives one static-triage
+ *  report per bug. */
+void identifyPhase(const PipelineConfig &config,
+                   support::ThreadPool *pool, PipelineResult &result,
+                   std::vector<sci::TriageReport> *triage = nullptr);
+
+/** Phase 4: infer further SCI and report the final set
+ *  (inference.txt). */
+void inferPhase(const PipelineConfig &config, support::ThreadPool *pool,
+                PipelineResult &result);
 
 /**
  * The §3.5 deployment step: an expert distills the SCI into one

@@ -107,23 +107,6 @@ corpusViolations(const CompiledModel &model,
 }
 
 std::set<size_t>
-corpusViolations(const invgen::InvariantSet &set,
-                 const std::vector<trace::TraceBuffer> &corpus,
-                 support::ThreadPool *pool, EvalMode mode)
-{
-    if (mode == EvalMode::Compiled)
-        return corpusViolations(CompiledModel(set), corpus, pool);
-    std::vector<std::vector<size_t>> perTrace(corpus.size());
-    support::parallelFor(pool, corpus.size(), [&](size_t i) {
-        perTrace[i] = findViolations(set, corpus[i], mode);
-    });
-    std::set<size_t> out;
-    for (const auto &violations : perTrace)
-        out.insert(violations.begin(), violations.end());
-    return out;
-}
-
-std::set<size_t>
 corpusViolations(const CompiledModel &model,
                  const trace::TraceSetReader &reader,
                  support::ThreadPool *pool)
@@ -146,38 +129,6 @@ corpusViolations(const CompiledModel &model,
             trace::TraceBuffer buffer;
             reader.readChunk(job.stream, job.chunk, buffer);
             return findViolations(model, buffer);
-        });
-
-    std::set<size_t> out;
-    for (const auto &violations : perChunk)
-        out.insert(violations.begin(), violations.end());
-    return out;
-}
-
-std::set<size_t>
-corpusViolations(const invgen::InvariantSet &set,
-                 const trace::TraceSetReader &reader,
-                 support::ThreadPool *pool, EvalMode mode)
-{
-    if (mode == EvalMode::Compiled)
-        return corpusViolations(CompiledModel(set), reader, pool);
-
-    struct Job
-    {
-        size_t stream;
-        size_t chunk;
-    };
-    std::vector<Job> jobs;
-    const auto &streams = reader.streams();
-    for (size_t s = 0; s < streams.size(); ++s)
-        for (size_t c = 0; c < streams[s].chunks.size(); ++c)
-            jobs.push_back({s, c});
-
-    std::vector<std::vector<size_t>> perChunk = support::parallelMap(
-        pool, jobs, [&](const Job &job) -> std::vector<size_t> {
-            trace::TraceBuffer buffer;
-            reader.readChunk(job.stream, job.chunk, buffer);
-            return findViolations(set, buffer, mode);
         });
 
     std::set<size_t> out;
@@ -252,21 +203,6 @@ identify(const CompiledModel &model, const bugs::Bug &bug,
     return result;
 }
 
-IdentificationResult
-identify(const invgen::InvariantSet &set, const bugs::Bug &bug,
-         const std::set<size_t> &knownNonInvariant, EvalMode mode,
-         bool interpretedSim)
-{
-    if (mode == EvalMode::Compiled) {
-        return identify(CompiledModel(set), bug, knownNonInvariant,
-                        interpretedSim);
-    }
-    bugs::TriggerTraces traces = bugs::runTriggers(bug, interpretedSim);
-    return combineScans(bug, findViolations(set, traces.buggy, mode),
-                        findViolations(set, traces.clean, mode),
-                        knownNonInvariant);
-}
-
 SciDatabase
 identifyAll(const CompiledModel &model,
             const std::vector<const bugs::Bug *> &bugList,
@@ -287,28 +223,6 @@ identifyAll(const CompiledModel &model,
                               interpretedSim,
                               triage != nullptr ? &(*triage)[i]
                                                 : nullptr);
-    });
-    SciDatabase db;
-    for (const auto &result : results)
-        db.addResult(result);
-    return db;
-}
-
-SciDatabase
-identifyAll(const invgen::InvariantSet &set,
-            const std::vector<const bugs::Bug *> &bugList,
-            const std::set<size_t> &knownNonInvariant,
-            support::ThreadPool *pool, EvalMode mode,
-            bool interpretedSim)
-{
-    if (mode == EvalMode::Compiled) {
-        return identifyAll(CompiledModel(set), bugList,
-                           knownNonInvariant, pool, interpretedSim);
-    }
-    std::vector<IdentificationResult> results(bugList.size());
-    support::parallelFor(pool, bugList.size(), [&](size_t i) {
-        results[i] = identify(set, *bugList[i], knownNonInvariant,
-                              mode, interpretedSim);
     });
     SciDatabase db;
     for (const auto &result : results)
@@ -368,8 +282,9 @@ writeIndices(support::BinWriter &out, const std::vector<size_t> &v)
         out.u64(idx);
 }
 
+/** Read one index list; every index must point into the model. */
 std::vector<size_t>
-readIndices(support::BinReader &in)
+readIndices(support::BinReader &in, size_t modelSize)
 {
     uint64_t count = in.u64();
     if (count > dbMaxIndices) {
@@ -379,8 +294,16 @@ readIndices(support::BinReader &in)
     // Grow as the entries arrive: a corrupt count must not size an
     // allocation that the file cannot back.
     std::vector<size_t> out;
-    for (uint64_t i = 0; i < count; ++i)
-        out.push_back(size_t(in.u64()));
+    for (uint64_t i = 0; i < count; ++i) {
+        uint64_t idx = in.u64();
+        if (idx >= modelSize) {
+            in.corrupt(sizeof(idx),
+                       format("index %llu is beyond the %zu-invariant "
+                              "model",
+                              (unsigned long long)idx, modelSize));
+        }
+        out.push_back(size_t(idx));
+    }
     return out;
 }
 
@@ -401,7 +324,7 @@ SciDatabase::saveBinary(const std::string &path) const
 }
 
 SciDatabase
-SciDatabase::loadBinary(const std::string &path)
+SciDatabase::loadBinary(const std::string &path, size_t modelSize)
 {
     support::BinReader in(path, dbMagic, dbVersion, "SCI database");
     SciDatabase db;
@@ -409,9 +332,9 @@ SciDatabase::loadBinary(const std::string &path)
     for (uint64_t i = 0; i < count; ++i) {
         IdentificationResult result;
         result.bugId = in.str(256);
-        result.trueSci = readIndices(in);
-        result.falsePositives = readIndices(in);
-        result.notInvariant = readIndices(in);
+        result.trueSci = readIndices(in, modelSize);
+        result.falsePositives = readIndices(in, modelSize);
+        result.notInvariant = readIndices(in, modelSize);
         db.addResult(result);
     }
     in.expectEof();

@@ -35,10 +35,11 @@ class ThreadPool;
 namespace scif::sci {
 
 /**
- * How violation scans evaluate invariant expressions: compiled batch
+ * How findViolations() evaluates invariant expressions: compiled batch
  * programs over columnar trace matrices (the default), or the
- * interpreted Expr tree walk over AoS records (the oracle both the
+ * interpreted Expr tree walk over AoS records (the oracle the
  * differential tests and the eval-throughput bench compare against).
+ * Every other scan takes a CompiledModel.
  */
 enum class EvalMode { Compiled, Interpreted };
 
@@ -106,13 +107,6 @@ std::vector<size_t> findViolations(const CompiledModel &model,
  * order-independent, so the result is identical either way.
  */
 std::set<size_t>
-corpusViolations(const invgen::InvariantSet &set,
-                 const std::vector<trace::TraceBuffer> &corpus,
-                 support::ThreadPool *pool = nullptr,
-                 EvalMode mode = EvalMode::Compiled);
-
-/** Corpus scan with a prebuilt compiled model. */
-std::set<size_t>
 corpusViolations(const CompiledModel &model,
                  const std::vector<trace::TraceBuffer> &corpus,
                  support::ThreadPool *pool = nullptr);
@@ -128,13 +122,6 @@ std::set<size_t>
 corpusViolations(const CompiledModel &model,
                  const trace::TraceSetReader &reader,
                  support::ThreadPool *pool = nullptr);
-
-/** Streaming corpus scan without a prebuilt model. */
-std::set<size_t>
-corpusViolations(const invgen::InvariantSet &set,
-                 const trace::TraceSetReader &reader,
-                 support::ThreadPool *pool = nullptr,
-                 EvalMode mode = EvalMode::Compiled);
 
 /** Per-bug identification outcome (one row of Table 3). */
 struct IdentificationResult
@@ -154,20 +141,6 @@ struct IdentificationResult
 };
 
 /**
- * Identify the SCI for one bug.
- *
- * @param set the optimized invariant model.
- * @param bug the reproduced erratum and its trigger.
- * @param knownNonInvariant invariants the validation corpus exposed
- *        as non-invariant (see corpusViolations()).
- */
-IdentificationResult identify(const invgen::InvariantSet &set,
-                              const bugs::Bug &bug,
-                              const std::set<size_t> &knownNonInvariant,
-                              EvalMode mode = EvalMode::Compiled,
-                              bool interpretedSim = false);
-
-/**
  * Static-triage telemetry for one bug's identification: the scan
  * priority (analysis::triageOrder over the bug's mutation footprint)
  * and where the dynamically identified SCI landed in it. quality is
@@ -183,8 +156,14 @@ struct TriageReport
 };
 
 /**
- * Identify with a prebuilt compiled model (the hot path). The
- * trigger pair runs on one Cpu via bugs::runTriggers();
+ * Identify the SCI for one bug.
+ *
+ * @param model the optimized invariant model, compiled.
+ * @param bug the reproduced erratum and its trigger.
+ * @param knownNonInvariant invariants the validation corpus exposed
+ *        as non-invariant (see corpusViolations()).
+ *
+ * The trigger pair runs on one Cpu via bugs::runTriggers();
  * @p interpretedSim forces the interpreted simulator front end (the
  * differential oracle for the predecoded default). When @p triage is
  * non-null, the buggy-trace scan runs in static triage order and the
@@ -200,21 +179,11 @@ IdentificationResult identify(const CompiledModel &model,
  * Identify the SCI for a list of bugs, fanning out per bug over
  * @p pool when one is given. Results are folded into the returned
  * database in the order of @p bugList, so the output is identical to
- * the serial per-bug loop.
+ * the serial per-bug loop. When @p triage is non-null it is resized
+ * to the bug list and one report is produced per bug (the scans then
+ * run in static triage order).
  */
 class SciDatabase;
-SciDatabase identifyAll(const invgen::InvariantSet &set,
-                        const std::vector<const bugs::Bug *> &bugList,
-                        const std::set<size_t> &knownNonInvariant,
-                        support::ThreadPool *pool = nullptr,
-                        EvalMode mode = EvalMode::Compiled,
-                        bool interpretedSim = false);
-
-/**
- * Identify all bugs with a prebuilt compiled model. When @p triage
- * is non-null it is resized to the bug list and one report is
- * produced per bug (the scans then run in static triage order).
- */
 SciDatabase identifyAll(const CompiledModel &model,
                         const std::vector<const bugs::Bug *> &bugList,
                         const std::set<size_t> &knownNonInvariant,
@@ -262,9 +231,14 @@ class SciDatabase
      */
     void saveBinary(const std::string &path) const;
 
-    /** Load a binary artifact; aborts on a truncated or corrupt
-     *  file, or on an unsupported version. */
-    static SciDatabase loadBinary(const std::string &path);
+    /**
+     * Load a binary artifact whose indices point into a model of
+     * @p modelSize invariants; throws support::IoError on a
+     * truncated or corrupt file, an unsupported version, or an index
+     * at or beyond @p modelSize (at that index's offset).
+     */
+    static SciDatabase loadBinary(const std::string &path,
+                                  size_t modelSize);
 
   private:
     std::vector<IdentificationResult> results_;

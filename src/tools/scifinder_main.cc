@@ -5,13 +5,15 @@
  *
  * The pipeline phases are separate subcommands over a shared artifact
  * directory, so any phase can be re-run alone from its predecessors'
- * persisted outputs:
+ * persisted outputs. Each one fills a core::PipelineConfig, calls the
+ * phase function that owns the phase's artifacts (core/scifinder.hh)
+ * and prints what it found:
  *
- *   scifinder run       [--jobs N] [--artifact-dir D]   all phases
- *   scifinder generate  [--jobs N] --artifact-dir D     phase 1
- *   scifinder optimize  --artifact-dir D                phase 2
- *   scifinder identify  [--jobs N] --artifact-dir D     phase 3
- *   scifinder infer     [--jobs N] --artifact-dir D     phase 4
+ *   scifinder run       [--artifact-dir D] ...  all phases
+ *   scifinder generate  --artifact-dir D ...    phase 1
+ *   scifinder optimize  --artifact-dir D        phase 2
+ *   scifinder identify  --artifact-dir D ...    phase 3
+ *   scifinder infer     --artifact-dir D ...    phase 4
  *
  * plus the analyses (analyze, audit), the checking service (serve),
  * the simulator fuzzer (fuzz), the trace-set toolbelt (trace), the
@@ -19,18 +21,27 @@
  * in-memory `identify bug...` mode, which runs phases 1-3 without
  * artifacts.
  *
+ * Two tables below, flags[] and commands[], say which flags each
+ * command reads. The parser, the usage text and every per-command
+ * usage line come from them, so a flag that a command does not read
+ * is a usage error rather than silently ignored.
+ *
  * Exit status: 0 on success, 1 for a negative result (traces differ,
  * an assertion fired, an unsound audit) or a missing artifact, 2 on
  * usage errors, and 3 when reading or writing a file fails or an
  * artifact is corrupt.
  */
 
-#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,230 +65,311 @@ namespace {
 
 using namespace scif;
 
-int
-usage()
+/** What follows a flag on the command line. */
+enum class Kind { Switch, Number, Text };
+
+/** The most threads a thread-count flag may ask for; 0 still means
+ *  one per core. */
+constexpr uint64_t maxThreads = 256;
+
+constexpr uint64_t u32Max = UINT32_MAX;
+constexpr uint64_t u64Max = UINT64_MAX;
+constexpr uint64_t sizeMax = SIZE_MAX;
+
+/**
+ * One flag and the commands that read it. A name may have one row per
+ * meaning (fuzz --count counts programs, trace extract --count
+ * records); a command reads the row that lists it.
+ */
+struct Flag
 {
-    std::fprintf(
-        stderr,
-        "usage: scifinder <command> [args]\n"
-        "\n"
-        "pipeline (artifact-backed; any phase can be re-run alone):\n"
-        "  run       [opts] [--no-inference]\n"
-        "                            run all phases and report\n"
-        "  generate  [opts] [workload...]\n"
-        "                            phase 1: run the workloads, "
-        "infer the\n"
-        "                            raw invariant model\n"
-        "  optimize  --artifact-dir D\n"
-        "                            phase 2: optimize the raw "
-        "model\n"
-        "  identify  [opts] [bug...] phase 3: identify SCI for the "
-        "errata\n"
-        "                            (without --artifact-dir: phases "
-        "1-3 in\n"
-        "                            memory for the listed bugs)\n"
-        "  infer     [--jobs N] --artifact-dir D\n"
-        "                            phase 4: infer additional SCI\n"
-        "  analyze   [--jobs N] [--json] [--audit-traces] "
-        "--artifact-dir D\n"
-        "                            classify the optimized model "
-        "with the\n"
-        "                            abstract-interpretation "
-        "analyzer;\n"
-        "                            --json emits the report as JSON "
-        "on stdout;\n"
-        "                            --audit-traces also scans the "
-        "persisted\n"
-        "                            training traces for violations\n"
-        "  audit     [--jobs N] --artifact-dir D [bug...]\n"
-        "                            security-dataflow audit: per-bug "
-        "mutated\n"
-        "                            defs, reachable security state, "
-        "and static\n"
-        "                            invariant guards, cross-checked "
-        "against the\n"
-        "                            phase-3 identification (exit 1 "
-        "= unsound)\n"
-        "\n"
-        "  common [opts]: --jobs N (0 = all cores), --artifact-dir "
-        "D,\n"
-        "                 --chunk-records N (trace-set chunk "
-        "size),\n"
-        "                 --validation N (corpus size, default 24),\n"
-        "                 --interpreted-eval (identify: scan with "
-        "the\n"
-        "                 interpreted oracle instead of the compiled "
-        "kernels),\n"
-        "                 --interpreted-sim (simulate on the "
-        "interpreted\n"
-        "                 front end instead of the predecoded block "
-        "cache\n"
-        "                 with capture-time columns; same "
-        "artifacts)\n"
-        "\n"
-        "testing:\n"
-        "  fuzz      [opts] [--seed S] [--count N] "
-        "[--mutation-coverage]\n"
-        "            [--replay D] [--fleet N] [--grain N]\n"
-        "                            --fleet runs N work-stealing "
-        "shards\n"
-        "                            (0 = all cores; artifacts "
-        "byte-identical\n"
-        "                            for any width; not with "
-        "--replay)\n"
-        "                            differential fuzz the simulator "
-        "against\n"
-        "                            the independent reference "
-        "interpreter;\n"
-        "                            optionally score mutation kill "
-        "rates\n"
-        "  serve     --artifact-dir D [--shards N] [--queue-batches "
-        "N]\n"
-        "            [--batch-records N] [--stats] [--workloads]\n"
-        "            [--fuzz N [--seed S]] [set.bin...]\n"
-        "                            enforce the identified-SCI "
-        "assertion set\n"
-        "                            on concurrent sessions: "
-        "trace-set streams,\n"
-        "                            live workload replays, fuzz "
-        "programs\n"
-        "                            (exit 1 if any assertion "
-        "fired)\n"
-        "\n"
-        "catalogs and utilities:\n"
-        "  workloads                 list the 17 training workloads\n"
-        "  bugs                      list the 31 reproduced errata\n"
-        "  errata                    the collected-errata catalog and\n"
-        "                            the phase-2 classification aid\n"
-        "  properties                list the security-property "
-        "catalog\n"
-        "  trace capture <workload> <out> [--chunk-records N]\n"
-        "                            run a workload straight into a "
-        "trace set\n"
-        "  trace dump <set> [--stream S] [--limit N] [--vars A,B]\n"
-        "                            print records of a set "
-        "artifact\n"
-        "  trace count <set> [--points]\n"
-        "                            stream/record totals (or a "
-        "per-point\n"
-        "                            histogram) of a set artifact\n"
-        "  trace diff <a> <b>        compare two set artifacts "
-        "record by\n"
-        "                            record (exit 1 = differ)\n"
-        "  trace extract <in> <out> --stream S [--from N] [--count "
-        "N]\n"
-        "                            copy one stream (or a record "
-        "range)\n"
-        "                            into a new set\n"
-        "  trace merge <out> <in>...\n"
-        "                            merge set artifacts into one "
-        "set\n"
-        "  exec <file.s>             assemble and execute a "
-        "program\n"
-        "\n"
-        "exit status: 0 ok, 1 negative result or missing artifact, "
-        "2 usage,\n"
-        "             3 I/O error or corrupt artifact\n");
+    const char *name;
+    const char *commands; ///< the commands that read it, comma-separated
+    Kind kind;
+    const char *value;    ///< placeholder for the value in usage lines
+    uint64_t min, max;    ///< accepted range of a Number
+    const char *help;
+};
+
+const Flag flags[] = {
+    {"--artifact-dir",
+     "run,generate,optimize,identify,infer,analyze,audit,fuzz,serve",
+     Kind::Text, "D", 0, 0,
+     "artifact directory (fuzz: corpus and reports)"},
+    {"--jobs", "run,generate,identify,infer,analyze,audit,fuzz,serve",
+     Kind::Number, "N", 0, maxThreads,
+     "worker threads, 0 = all cores (default 1)"},
+    {"--validation", "run,identify", Kind::Number, "N", 0, sizeMax,
+     "validation corpus programs (default 24)"},
+    {"--chunk-records",
+     "run,generate,identify,trace capture,trace extract,trace merge",
+     Kind::Number, "N", 1, u32Max,
+     "records per trace-set chunk (default 4096)"},
+    {"--no-inference", "run", Kind::Switch, nullptr, 0, 0,
+     "stop after phase 3"},
+    {"--interpreted-sim", "run,generate,identify,trace capture",
+     Kind::Switch, nullptr, 0, 0,
+     "simulate on the interpreted front end, the oracle of the "
+     "predecoded one (same artifacts)"},
+    {"--json", "analyze", Kind::Switch, nullptr, 0, 0,
+     "print the report as JSON on stdout"},
+    {"--audit-traces", "analyze", Kind::Switch, nullptr, 0, 0,
+     "also scan the training traces for violations"},
+    {"--seed", "fuzz,serve", Kind::Number, "S", 0, u64Max,
+     "seed of the generated programs (default 1)"},
+    {"--count", "fuzz", Kind::Number, "N", 0, u32Max,
+     "fuzz: programs to generate (default 256)"},
+    {"--mutation-coverage", "fuzz", Kind::Switch, nullptr, 0, 0,
+     "also score mutation kills; fail unless all are killed"},
+    {"--replay", "fuzz", Kind::Text, "D", 0, 0,
+     "replay the *.s programs of D instead of generating"},
+    {"--fleet", "fuzz", Kind::Number, "N", 0, maxThreads,
+     "run N work-stealing shards, 0 = all cores (same artifacts "
+     "for any N; not with --replay)"},
+    {"--grain", "fuzz", Kind::Number, "N", 1, u32Max,
+     "seeds a fleet shard claims at a time (default 16)"},
+    {"--shards", "serve", Kind::Number, "N", 0, maxThreads,
+     "checker shards, 0 = all cores (default 1)"},
+    {"--queue-batches", "serve", Kind::Number, "N", 1, sizeMax,
+     "per-shard queue bound in batches (default 64)"},
+    {"--batch-records", "serve", Kind::Number, "N", 1, sizeMax,
+     "records per batch (default 256)"},
+    {"--stats", "serve", Kind::Switch, nullptr, 0, 0,
+     "print service telemetry"},
+    {"--workloads", "serve", Kind::Switch, nullptr, 0, 0,
+     "one session per training workload"},
+    {"--fuzz", "serve", Kind::Number, "N", 0, u32Max,
+     "N sessions of generated programs"},
+    {"--stream", "trace dump,trace extract", Kind::Text, "S", 0, 0,
+     "the stream to read (dump: every stream by default)"},
+    {"--limit", "trace dump", Kind::Number, "N", 0, sizeMax,
+     "records per stream (default 16)"},
+    {"--vars", "trace dump", Kind::Text, "A,B", 0, 0,
+     "variables to print (default PC,INSN,OPA,OPB,OPDEST)"},
+    {"--points", "trace count", Kind::Switch, nullptr, 0, 0,
+     "per-point histogram instead of stream totals"},
+    {"--from", "trace extract", Kind::Number, "N", 0, sizeMax,
+     "first record to copy (default 0)"},
+    {"--count", "trace extract", Kind::Number, "N", 0, sizeMax,
+     "trace extract: records to copy (default all)"},
+};
+
+struct Args;
+
+/** One command: what it takes and the function that runs it. */
+struct Command
+{
+    const char *name;       ///< one word, or "trace <sub>"
+    const char *operands;   ///< operand synopsis ("" = none)
+    size_t minOperands, maxOperands;
+    const char *required;   ///< a flag it cannot run without, or null
+    const char *summary;
+    int (*run)(const Args &);
+};
+
+/** @return true if @p cmd reads @p flag. */
+bool
+reads(const Command &cmd, const Flag &flag)
+{
+    for (const auto &name : split(flag.commands, ','))
+        if (name == cmd.name)
+            return true;
+    return false;
+}
+
+/** A command line parsed against the flag table. */
+struct Args
+{
+    const Command *cmd = nullptr;
+    std::vector<std::string> operands;
+    /** The flags given, with their values ("" for a switch). */
+    std::map<std::string, std::string> values;
+    /** The Number flags given, parsed. */
+    std::map<std::string, uint64_t> numbers;
+
+    bool has(const std::string &flag) const
+    {
+        return values.contains(flag);
+    }
+
+    std::string
+    text(const std::string &flag) const
+    {
+        auto it = values.find(flag);
+        return it == values.end() ? std::string() : it->second;
+    }
+
+    uint64_t
+    number(const std::string &flag, uint64_t fallback) const
+    {
+        auto it = numbers.find(flag);
+        return it == numbers.end() ? fallback : it->second;
+    }
+};
+
+/** A flag as usage lines show it: "--jobs N". */
+std::string
+flagWord(const Flag &flag)
+{
+    std::string word = flag.name;
+    if (flag.kind != Kind::Switch) {
+        word += ' ';
+        word += flag.value;
+    }
+    return word;
+}
+
+/** The words of @p cmd's usage line: its name, flags and operands. */
+std::vector<std::string>
+synopsis(const Command &cmd)
+{
+    std::vector<std::string> words = {cmd.name};
+    for (const Flag &flag : flags) {
+        if (!reads(cmd, flag))
+            continue;
+        std::string word = flagWord(flag);
+        bool required =
+            cmd.required && std::strcmp(cmd.required, flag.name) == 0;
+        words.push_back(required ? word : format("[%s]", word.c_str()));
+    }
+    if (*cmd.operands)
+        words.push_back(cmd.operands);
+    return words;
+}
+
+/** Print @p words after @p lead, wrapped at 78 columns with the
+ *  continuation lines indented by @p indent. */
+void
+printWrapped(const std::string &lead,
+             const std::vector<std::string> &words, int indent)
+{
+    std::fputs(lead.c_str(), stderr);
+    size_t column = lead.size();
+    for (size_t i = 0; i < words.size(); ++i) {
+        if (i > 0 && column + 1 + words[i].size() > 78) {
+            std::fprintf(stderr, "\n%*s", indent, "");
+            column = size_t(indent);
+        } else if (i > 0) {
+            std::fputc(' ', stderr);
+            ++column;
+        }
+        std::fputs(words[i].c_str(), stderr);
+        column += words[i].size();
+    }
+    std::fputc('\n', stderr);
+}
+
+/** Print @p args' command usage line; @return the usage exit status. */
+int
+usageError(const Args &args)
+{
+    printWrapped("usage: scifinder ", synopsis(*args.cmd), 8);
     return 2;
 }
 
-/** Options shared by the pipeline subcommands, stripped from args. */
-struct CommonOpts
-{
-    size_t jobs = 1;
-    std::string artifactDir;
-    size_t validationPrograms = 24;
-    bool noInference = false;
-    /** Force the interpreted Expr oracle for violation scans
-     *  (identify); the default is the compiled batch kernels. */
-    bool interpretedEval = false;
-    /** Force the interpreted simulator front end (no predecoded
-     *  block cache, no capture-time columns); the differential
-     *  oracle for the fast path. Artifacts are byte-identical. */
-    bool interpretedSim = false;
-    /** Records per chunk of written trace sets. */
-    size_t chunkRecords = trace::defaultChunkRecords;
-};
-
 /**
- * Parse the decimal value of @p flag into @p out.
- * @return false (after printing a diagnostic) when @p s is not a
- * number.
+ * Parse a flag value: decimal or 0x-prefixed hex digits only, with no
+ * sign or whitespace. @return false on anything else or on a value
+ * beyond 64 bits.
  */
 bool
-parseCount(const std::string &s, const char *flag, size_t *out)
+parseNumber(const std::string &text, uint64_t *out)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(s.c_str(), &end, 10);
-    if (s.empty() || *end != '\0') {
-        std::fprintf(stderr, "%s expects a number, got '%s'\n", flag,
-                     s.c_str());
-        return false;
-    }
-    *out = size_t(v);
-    return true;
+    bool hex = text.size() > 2 && text[0] == '0' &&
+               (text[1] == 'x' || text[1] == 'X');
+    const char *first = text.data() + (hex ? 2 : 0);
+    const char *last = text.data() + text.size();
+    auto [end, ec] = std::from_chars(first, last, *out, hex ? 16 : 10);
+    return ec == std::errc() && end == last;
 }
 
 /**
- * Strip the common pipeline flags out of @p args.
- * @return false (after printing a diagnostic) on a malformed flag.
+ * Parse the words after the command name into @p args, against the
+ * flag table. @return false, after saying why, on a flag that
+ * args.cmd does not read, a missing or malformed value, a number out
+ * of its range, a missing required flag or the wrong operand count.
  */
 bool
-parseCommon(std::vector<std::string> &args, CommonOpts &opts)
+parse(const std::vector<std::string> &words, Args &args)
 {
-    std::vector<std::string> rest;
-    for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto value = [&](const char *flag) -> const std::string * {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                return nullptr;
-            }
-            return &args[++i];
-        };
-        if (arg == "--jobs" || arg == "-j") {
-            const std::string *v = value("--jobs");
-            if (!v || !parseCount(*v, "--jobs", &opts.jobs))
-                return false;
-        } else if (arg == "--artifact-dir") {
-            const std::string *v = value("--artifact-dir");
-            if (!v)
-                return false;
-            opts.artifactDir = *v;
-        } else if (arg == "--validation") {
-            const std::string *v = value("--validation");
-            if (!v || !parseCount(*v, "--validation",
-                                  &opts.validationPrograms))
-                return false;
-        } else if (arg == "--chunk-records") {
-            const std::string *v = value("--chunk-records");
-            if (!v || !parseCount(*v, "--chunk-records",
-                                  &opts.chunkRecords))
-                return false;
-            if (opts.chunkRecords == 0) {
-                std::fprintf(stderr,
-                             "--chunk-records must be positive\n");
-                return false;
-            }
-        } else if (arg == "--no-inference") {
-            opts.noInference = true;
-        } else if (arg == "--interpreted-eval") {
-            opts.interpretedEval = true;
-        } else if (arg == "--interpreted-sim") {
-            opts.interpretedSim = true;
-        } else {
-            rest.push_back(arg);
+    const Command &cmd = *args.cmd;
+    for (size_t i = 0; i < words.size(); ++i) {
+        const std::string &word = words[i];
+        if (word.size() < 2 || word[0] != '-') {
+            args.operands.push_back(word);
+            continue;
         }
+        const Flag *flag = nullptr;
+        for (const Flag &f : flags) {
+            if (word == f.name && reads(cmd, f)) {
+                flag = &f;
+                break;
+            }
+        }
+        if (flag == nullptr) {
+            std::fprintf(stderr, "scifinder %s does not read %s\n",
+                         cmd.name, word.c_str());
+            return false;
+        }
+        if (flag->kind == Kind::Switch) {
+            args.values[word] = "";
+            continue;
+        }
+        if (i + 1 == words.size()) {
+            std::fprintf(stderr, "%s needs a value\n", flag->name);
+            return false;
+        }
+        const std::string &value = words[++i];
+        if (flag->kind == Kind::Number) {
+            uint64_t n = 0;
+            if (!parseNumber(value, &n)) {
+                std::fprintf(stderr, "%s expects a number, got '%s'\n",
+                             flag->name, value.c_str());
+                return false;
+            }
+            if (n < flag->min || n > flag->max) {
+                std::fprintf(stderr,
+                             "%s expects a number from %llu to %llu, "
+                             "got '%s'\n",
+                             flag->name, (unsigned long long)flag->min,
+                             (unsigned long long)flag->max,
+                             value.c_str());
+                return false;
+            }
+            args.numbers[word] = n;
+        }
+        args.values[word] = value;
     }
-    args = std::move(rest);
-    return true;
+    if (cmd.required && !args.has(cmd.required)) {
+        std::fprintf(stderr, "scifinder %s needs %s\n", cmd.name,
+                     cmd.required);
+        return false;
+    }
+    return args.operands.size() >= cmd.minOperands &&
+           args.operands.size() <= cmd.maxOperands;
+}
+
+/** The pipeline settings a command line gives. */
+core::PipelineConfig
+pipelineConfig(const Args &args)
+{
+    core::PipelineConfig config;
+    config.artifactDir = args.text("--artifact-dir");
+    config.jobs = args.number("--jobs", config.jobs);
+    config.validationPrograms =
+        args.number("--validation", config.validationPrograms);
+    config.traceChunkRecords = uint32_t(
+        args.number("--chunk-records", config.traceChunkRecords));
+    config.interpretedSim = args.has("--interpreted-sim");
+    config.runInference = !args.has("--no-inference");
+    return config;
 }
 
 /** Pool for a subcommand's own fan-outs (null = serial). */
 std::unique_ptr<support::ThreadPool>
-makePool(const CommonOpts &opts)
+makePool(size_t jobs)
 {
-    size_t jobs = support::ThreadPool::resolveJobs(opts.jobs);
+    jobs = support::ThreadPool::resolveJobs(jobs);
     if (jobs <= 1)
         return nullptr;
     return std::make_unique<support::ThreadPool>(jobs);
@@ -295,20 +387,16 @@ openOutput(const std::string &path)
     return out;
 }
 
-/** Load an artifact after checking it exists, with a phase hint. */
-#define REQUIRE_ARTIFACT(path, hint)                                         \
-    do {                                                                     \
-        if (!core::ArtifactPaths::exists(path)) {                            \
-            std::fprintf(stderr,                                             \
-                         "missing artifact %s (run 'scifinder %s' "          \
-                         "first)\n",                                         \
-                         (path).c_str(), hint);                              \
-            return 1;                                                        \
-        }                                                                    \
-    } while (0)
+/** Load the optimized model of an artifact directory. */
+invgen::InvariantSet
+loadModel(const core::ArtifactPaths &paths)
+{
+    core::requireArtifact(paths.model(), "optimize");
+    return invgen::InvariantSet::loadBinary(paths.model());
+}
 
 int
-cmdWorkloads()
+cmdWorkloads(const Args &)
 {
     TextTable table({"name", "records", "instructions"});
     for (const auto &w : workloads::all()) {
@@ -324,7 +412,7 @@ cmdWorkloads()
 }
 
 int
-cmdBugs()
+cmdBugs(const Args &)
 {
     TextTable table({"id", "set", "source", "synopsis"});
     for (const auto &bug : bugs::all()) {
@@ -336,7 +424,7 @@ cmdBugs()
 }
 
 int
-cmdErrata()
+cmdErrata(const Args &)
 {
     TextTable table({"id", "processor", "judged", "assistant",
                      "reproduced", "synopsis"});
@@ -362,7 +450,7 @@ cmdErrata()
 }
 
 int
-cmdProperties()
+cmdProperties(const Args &)
 {
     TextTable table({"id", "class", "origin", "scope", "description"});
     for (const auto &p : sci::catalog()) {
@@ -422,70 +510,53 @@ ioErrorExit(const support::IoError &e)
     return 3;
 }
 
+/** Records per chunk of the trace sets a trace command writes. */
+uint32_t
+chunkRecords(const Args &args)
+{
+    return uint32_t(
+        args.number("--chunk-records", trace::defaultChunkRecords));
+}
+
 /** trace capture: run a workload straight into a trace set. */
 int
-cmdTraceCapture(const CommonOpts &opts,
-                const std::vector<std::string> &args)
+cmdTraceCapture(const Args &args)
 {
-    if (args.size() != 2) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace capture <workload> <out> "
-                     "[--chunk-records N]\n");
-        return 2;
-    }
-    const auto &w = workloads::byName(args[0]);
-    trace::TraceSetWriter writer(args[1],
-                                 uint32_t(opts.chunkRecords));
+    const auto &w = workloads::byName(args.operands[0]);
+    const std::string &out = args.operands[1];
+    trace::TraceSetWriter writer(out, chunkRecords(args));
     writer.beginStream(w.name);
-    workloads::runInto(w, {}, opts.interpretedSim, &writer);
+    workloads::runInto(w, {}, args.has("--interpreted-sim"), &writer);
     writer.endStream();
     uint64_t records = writer.totalRecords();
     size_t chunks = writer.streams()[0].chunks.size();
     writer.close();
     std::printf("wrote %llu records in %zu chunks to %s\n",
-                (unsigned long long)records, chunks, args[1].c_str());
+                (unsigned long long)records, chunks, out.c_str());
     return 0;
 }
 
 /** trace dump: print records of a set artifact. */
 int
-cmdTraceDump(const std::vector<std::string> &args_in)
+cmdTraceDump(const Args &args)
 {
-    std::vector<std::string> args;
-    std::string stream;
-    size_t limit = 16;
+    const std::string &path = args.operands[0];
+    std::string stream = args.text("--stream");
+    size_t limit = args.number("--limit", 16);
     std::vector<uint16_t> vars;
-    for (size_t i = 0; i < args_in.size(); ++i) {
-        const std::string &arg = args_in[i];
-        if (arg == "--stream" && i + 1 < args_in.size()) {
-            stream = args_in[++i];
-        } else if (arg == "--limit" && i + 1 < args_in.size()) {
-            if (!parseCount(args_in[++i], "--limit", &limit))
-                return 2;
-        } else if (arg == "--vars" && i + 1 < args_in.size()) {
-            if (!parseVarList(args_in[++i], &vars))
-                return 2;
-        } else {
-            args.push_back(arg);
-        }
-    }
-    if (args.size() != 1) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace dump <set> [--stream S] "
-                     "[--limit N] [--vars A,B,...]\n");
+    if (args.has("--vars") && !parseVarList(args.text("--vars"), &vars))
         return 2;
-    }
     if (vars.empty()) {
         vars = {trace::VarId::PC, trace::VarId::INSN,
                 trace::VarId::OPA, trace::VarId::OPB,
                 trace::VarId::OPDEST};
     }
 
-    trace::TraceSetReader reader(args[0]);
+    trace::TraceSetReader reader(path);
     if (!stream.empty() &&
         reader.findStream(stream) == trace::TraceSetReader::npos) {
         std::fprintf(stderr, "no stream named '%s' in %s\n",
-                     stream.c_str(), args[0].c_str());
+                     stream.c_str(), path.c_str());
         return 1;
     }
     for (size_t s = 0; s < reader.streams().size(); ++s) {
@@ -515,24 +586,10 @@ cmdTraceDump(const std::vector<std::string> &args_in)
 
 /** trace count: stream totals or a per-point histogram. */
 int
-cmdTraceCount(const std::vector<std::string> &args_in)
+cmdTraceCount(const Args &args)
 {
-    std::vector<std::string> args;
-    bool points = false;
-    for (const auto &arg : args_in) {
-        if (arg == "--points")
-            points = true;
-        else
-            args.push_back(arg);
-    }
-    if (args.size() != 1) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace count <set> "
-                     "[--points]\n");
-        return 2;
-    }
-    trace::TraceSetReader reader(args[0]);
-    if (points) {
+    trace::TraceSetReader reader(args.operands[0]);
+    if (args.has("--points")) {
         std::map<uint16_t, uint64_t> histogram;
         trace::TraceBuffer chunk;
         for (size_t s = 0; s < reader.streams().size(); ++s) {
@@ -569,15 +626,11 @@ cmdTraceCount(const std::vector<std::string> &args_in)
  * Exit 0 = identical, 1 = traces differ, 2 = usage, 3 = I/O error.
  */
 int
-cmdTraceDiff(const std::vector<std::string> &args)
+cmdTraceDiff(const Args &args)
 {
-    if (args.size() != 2) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace diff <a> <b>\n");
-        return 2;
-    }
-    trace::TraceSetReader a(args[0]);
-    trace::TraceSetReader b(args[1]);
+    const std::vector<std::string> &paths = args.operands;
+    trace::TraceSetReader a(paths[0]);
+    trace::TraceSetReader b(paths[1]);
 
     bool differ = false;
     for (size_t s = 0; s < a.streams().size(); ++s) {
@@ -585,7 +638,7 @@ cmdTraceDiff(const std::vector<std::string> &args)
         size_t t = b.findStream(info.name);
         if (t == trace::TraceSetReader::npos) {
             std::printf("stream %s: only in %s\n", info.name.c_str(),
-                        args[0].c_str());
+                        paths[0].c_str());
             differ = true;
             continue;
         }
@@ -625,7 +678,7 @@ cmdTraceDiff(const std::vector<std::string> &args)
     for (const auto &info : b.streams()) {
         if (a.findStream(info.name) == trace::TraceSetReader::npos) {
             std::printf("stream %s: only in %s\n", info.name.c_str(),
-                        args[1].c_str());
+                        paths[1].c_str());
             differ = true;
         }
     }
@@ -637,43 +690,21 @@ cmdTraceDiff(const std::vector<std::string> &args)
 
 /** trace extract: copy one stream (or a range of it) to a new set. */
 int
-cmdTraceExtract(const CommonOpts &opts,
-                const std::vector<std::string> &args_in)
+cmdTraceExtract(const Args &args)
 {
-    std::vector<std::string> args;
-    std::string stream;
-    size_t from = 0;
-    size_t count = SIZE_MAX;
-    for (size_t i = 0; i < args_in.size(); ++i) {
-        const std::string &arg = args_in[i];
-        if (arg == "--stream" && i + 1 < args_in.size()) {
-            stream = args_in[++i];
-        } else if (arg == "--from" && i + 1 < args_in.size()) {
-            if (!parseCount(args_in[++i], "--from", &from))
-                return 2;
-        } else if (arg == "--count" && i + 1 < args_in.size()) {
-            if (!parseCount(args_in[++i], "--count", &count))
-                return 2;
-        } else {
-            args.push_back(arg);
-        }
-    }
-    if (args.size() != 2 || stream.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace extract <in> <out> "
-                     "--stream S [--from N] [--count N] "
-                     "[--chunk-records N]\n");
-        return 2;
-    }
-    trace::TraceSetReader reader(args[0]);
+    const std::string &in = args.operands[0];
+    const std::string &out = args.operands[1];
+    std::string stream = args.text("--stream");
+    uint64_t from = args.number("--from", 0);
+    uint64_t count = args.number("--count", sizeMax);
+    trace::TraceSetReader reader(in);
     size_t s = reader.findStream(stream);
     if (s == trace::TraceSetReader::npos) {
         std::fprintf(stderr, "no stream named '%s' in %s\n",
-                     stream.c_str(), args[0].c_str());
+                     stream.c_str(), in.c_str());
         return 1;
     }
-    trace::TraceSetWriter writer(args[1],
-                                 uint32_t(opts.chunkRecords));
+    trace::TraceSetWriter writer(out, chunkRecords(args));
     writer.beginStream(stream);
     trace::ChunkCursor cur(reader, s);
     trace::Record rec;
@@ -688,116 +719,45 @@ cmdTraceExtract(const CommonOpts &opts,
     writer.close();
     std::printf("extracted %llu records of stream %s to %s\n",
                 (unsigned long long)written, stream.c_str(),
-                args[1].c_str());
+                out.c_str());
     return 0;
 }
 
 /** trace merge: combine several set artifacts into one set. */
 int
-cmdTraceMerge(const CommonOpts &opts,
-              const std::vector<std::string> &args)
+cmdTraceMerge(const Args &args)
 {
-    if (args.size() < 2) {
-        std::fprintf(stderr,
-                     "usage: scifinder trace merge <out> <in>... "
-                     "[--chunk-records N]\n");
-        return 2;
-    }
-    std::vector<std::string> inputs(args.begin() + 1, args.end());
-    trace::mergeTraceSets(args[0], inputs,
-                          uint32_t(opts.chunkRecords));
-    trace::TraceSetReader reader(args[0]);
+    const std::string &out = args.operands[0];
+    std::vector<std::string> inputs(args.operands.begin() + 1,
+                                    args.operands.end());
+    trace::mergeTraceSets(out, inputs, chunkRecords(args));
+    trace::TraceSetReader reader(out);
     std::printf("merged %zu inputs into %s (%zu streams, %llu "
                 "records)\n",
-                inputs.size(), args[0].c_str(),
-                reader.streams().size(),
+                inputs.size(), out.c_str(), reader.streams().size(),
                 (unsigned long long)reader.totalRecords());
     return 0;
 }
 
-int
-cmdTrace(const std::vector<std::string> &args_in)
-{
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (!args.empty()) {
-        std::string sub = args[0];
-        std::vector<std::string> rest(args.begin() + 1, args.end());
-        if (sub == "capture")
-            return cmdTraceCapture(opts, rest);
-        if (sub == "dump")
-            return cmdTraceDump(rest);
-        if (sub == "count")
-            return cmdTraceCount(rest);
-        if (sub == "diff")
-            return cmdTraceDiff(rest);
-        if (sub == "extract")
-            return cmdTraceExtract(opts, rest);
-        if (sub == "merge")
-            return cmdTraceMerge(opts, rest);
-    }
-    std::fprintf(stderr,
-                 "usage: scifinder trace "
-                 "{capture|dump|count|diff|extract|merge} ...\n");
-    return 2;
-}
-
 /** Phase 1: run the workloads, infer the raw model, persist both. */
 int
-cmdGenerate(const std::vector<std::string> &args_in)
+cmdGenerate(const Args &args)
 {
-    std::vector<std::string> workloadNames = args_in;
-    CommonOpts opts;
-    if (!parseCommon(workloadNames, opts))
-        return 2;
-    if (opts.artifactDir.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder generate [--jobs N] "
-                     "--artifact-dir D [workload...]\n");
-        return 2;
-    }
-    core::ArtifactPaths paths(opts.artifactDir);
-    paths.ensureDir();
-    auto pool = makePool(opts);
-
-    std::vector<const workloads::Workload *> list;
-    if (workloadNames.empty()) {
-        for (const auto &w : workloads::all())
-            list.push_back(&w);
-    } else {
-        for (const auto &name : workloadNames)
-            list.push_back(&workloads::byName(name));
-    }
-    // Out-of-core: workloads seal compressed chunks into the trace set
-    // as they simulate, then invariant generation streams the chunks
-    // back a window at a time. Same model as the in-memory run.
-    std::vector<std::string> names;
-    names.reserve(list.size());
-    for (const auto *w : list)
-        names.push_back(w->name);
-    auto counts = trace::buildTraceSetParallel(
-        paths.traces(), uint32_t(opts.chunkRecords), names,
-        [&](size_t i, trace::TraceSink &sink) {
-            workloads::runInto(*list[i], {}, opts.interpretedSim,
-                               &sink);
-        },
-        pool.get());
-    uint64_t records = 0;
-    for (uint64_t n : counts)
-        records += n;
-    size_t count = list.size();
-
+    core::PipelineConfig config = pipelineConfig(args);
+    config.workloadNames = args.operands;
+    auto pool = makePool(config.jobs);
+    core::PipelineResult r;
     invgen::GenStats stats;
-    trace::TraceSetReader reader(paths.traces());
-    invgen::InvariantSet model =
-        invgen::generateStreaming(reader, {}, &stats, pool.get());
-    model.saveBinary(paths.rawModel());
+    core::generatePhase(config, pool.get(), r, &stats);
+
+    core::ArtifactPaths paths(config.artifactDir);
+    size_t workloadCount = config.workloadNames.empty()
+                               ? workloads::all().size()
+                               : config.workloadNames.size();
     std::printf("%zu workloads, %llu records, %llu program points, "
                 "%zu raw invariants\n",
-                count, (unsigned long long)records,
-                (unsigned long long)stats.points, model.size());
+                workloadCount, (unsigned long long)r.traceRecords,
+                (unsigned long long)stats.points, r.model.size());
     std::printf("wrote %s and %s\n", paths.traces().c_str(),
                 paths.rawModel().c_str());
     return 0;
@@ -805,41 +765,28 @@ cmdGenerate(const std::vector<std::string> &args_in)
 
 /** Phase 2: optimize the persisted raw model. */
 int
-cmdOptimize(const std::vector<std::string> &args_in)
+cmdOptimize(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (opts.artifactDir.empty() || !args.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder optimize --artifact-dir D\n");
-        return 2;
-    }
-    core::ArtifactPaths paths(opts.artifactDir);
-    REQUIRE_ARTIFACT(paths.rawModel(), "generate");
-    invgen::InvariantSet model =
-        invgen::InvariantSet::loadBinary(paths.rawModel());
-    size_t before = model.size();
-    auto passStats = opt::optimize(model);
-    model.saveBinary(paths.model());
+    core::PipelineConfig config = pipelineConfig(args);
+    core::PipelineResult r;
+    core::optimizePhase(config, nullptr, r);
+
     const char *passNames[] = {"constant propagation",
                                "deducible removal",
                                "equivalence removal",
                                "vacuity removal"};
-    for (size_t i = 0; i < passStats.size(); ++i) {
-        const char *name =
-            i < 4 ? passNames[i] : "pass";
+    for (size_t i = 0; i < r.optimizationStats.size(); ++i) {
+        const opt::PassStats &pass = r.optimizationStats[i];
         std::printf("%-22s %zu -> %zu invariants, %zu -> %zu "
                     "variables\n",
-                    name, passStats[i].invariantsBefore,
-                    passStats[i].invariantsAfter,
-                    passStats[i].variablesBefore,
-                    passStats[i].variablesAfter);
+                    i < 4 ? passNames[i] : "pass",
+                    pass.invariantsBefore, pass.invariantsAfter,
+                    pass.variablesBefore, pass.variablesAfter);
     }
     std::printf("%zu raw invariants, %zu after optimization\n",
-                before, model.size());
-    std::printf("wrote %s\n", paths.model().c_str());
+                r.rawInvariants, r.model.size());
+    std::printf("wrote %s\n",
+                core::ArtifactPaths(config.artifactDir).model().c_str());
     return 0;
 }
 
@@ -858,64 +805,40 @@ printIdentification(const sci::SciDatabase &db,
     }
 }
 
-/** Phase 3: identify SCI from the persisted optimized model —
- *  no workload re-simulation, only the triggers and the validation
- *  corpus run. */
+/**
+ * Phase 3 from the persisted optimized model — no workload
+ * re-simulation, only the triggers and the validation corpus run —
+ * or, without --artifact-dir, phases 1-3 in memory for the listed
+ * bugs.
+ */
 int
-cmdIdentifyPhase(const CommonOpts &opts,
-                 const std::vector<std::string> &bugIds)
+cmdIdentify(const Args &args)
 {
-    core::ArtifactPaths paths(opts.artifactDir);
-    REQUIRE_ARTIFACT(paths.model(), "optimize");
-    invgen::InvariantSet model =
-        invgen::InvariantSet::loadBinary(paths.model());
-    auto pool = makePool(opts);
-
-    sci::EvalMode mode = opts.interpretedEval
-                             ? sci::EvalMode::Interpreted
-                             : sci::EvalMode::Compiled;
-    // The simulated expert's corpus goes through the trace store:
-    // each random program seals compressed chunks as it runs, then
-    // the violation scan streams them back a chunk at a time.
-    workloads::validationCorpusToStore(
-        paths.validation(), opts.validationPrograms, 0x5eed,
-        pool.get(), opts.interpretedSim,
-        uint32_t(opts.chunkRecords));
-    trace::TraceSetReader validation(paths.validation());
-    std::set<size_t> violations =
-        sci::corpusViolations(model, validation, pool.get(), mode);
-
-    std::vector<const bugs::Bug *> bugList;
-    if (bugIds.empty()) {
-        bugList = bugs::table1();
-    } else {
-        for (const auto &id : bugIds)
-            bugList.push_back(&bugs::byId(id));
+    core::PipelineConfig config = pipelineConfig(args);
+    config.bugIds = args.operands;
+    if (config.artifactDir.empty()) {
+        if (config.bugIds.empty())
+            return usageError(args);
+        config.runInference = false;
+        core::PipelineResult r = core::runPipeline(config);
+        printIdentification(r.database, r.model);
+        return 0;
     }
-    // The compiled path scans in static triage order (secflow): the
+
+    // The scans run in static triage order (secflow), so the
     // statically implicated invariants run their differential checks
-    // first, and the per-bug rank quality of the dynamically
-    // identified SCI is reported below. The violation sets — and so
-    // every persisted artifact — are unchanged by the ordering.
+    // first; the per-bug rank quality of the dynamically identified
+    // SCI is reported below.
+    auto pool = makePool(config.jobs);
+    core::PipelineResult r;
     std::vector<sci::TriageReport> triage;
-    sci::SciDatabase db;
-    if (mode == sci::EvalMode::Compiled) {
-        sci::CompiledModel compiled(model);
-        db = sci::identifyAll(compiled, bugList, violations,
-                              pool.get(), opts.interpretedSim,
-                              &triage);
-    } else {
-        db = sci::identifyAll(model, bugList, violations, pool.get(),
-                              mode, opts.interpretedSim);
-    }
+    core::identifyPhase(config, pool.get(), r, &triage);
 
-    core::saveIndexSet(paths.violations(), violations);
-    db.saveBinary(paths.sciDatabase());
-    printIdentification(db, model);
+    printIdentification(r.database, r.model);
     double qualitySum = 0.0;
     size_t qualityBugs = 0;
     for (size_t i = 0; i < triage.size(); ++i) {
-        const sci::IdentificationResult &res = db.results()[i];
+        const sci::IdentificationResult &res = r.database.results()[i];
         if (res.trueSci.empty())
             continue;
         std::printf("triage %s: rank quality %.3f, first SCI at "
@@ -929,70 +852,23 @@ cmdIdentifyPhase(const CommonOpts &opts,
         std::printf("triage mean rank quality: %.3f over %zu "
                     "detected bugs\n",
                     qualitySum / double(qualityBugs), qualityBugs);
+    core::ArtifactPaths paths(config.artifactDir);
     std::printf("wrote %s and %s\n", paths.violations().c_str(),
                 paths.sciDatabase().c_str());
-    return 0;
-}
-
-int
-cmdIdentify(const std::vector<std::string> &args_in)
-{
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (!opts.artifactDir.empty())
-        return cmdIdentifyPhase(opts, args);
-
-    // Legacy mode: run phases 1-3 in memory for the given bugs.
-    if (args.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder identify [--jobs N] "
-                     "[--artifact-dir D] [--interpreted-eval] "
-                     "[bug...]\n");
-        return 2;
-    }
-    core::PipelineConfig config;
-    config.bugIds = args;
-    config.runInference = false;
-    config.jobs = opts.jobs;
-    config.validationPrograms = opts.validationPrograms;
-    config.interpretedSim = opts.interpretedSim;
-    core::PipelineResult result = core::runPipeline(config);
-    printIdentification(result.database, result.model);
     return 0;
 }
 
 /** Phase 4: infer additional SCI from the persisted phase-2/3
  *  artifacts. */
 int
-cmdInfer(const std::vector<std::string> &args_in)
+cmdInfer(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (opts.artifactDir.empty() || !args.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder infer [--jobs N] "
-                     "--artifact-dir D\n");
-        return 2;
-    }
-    core::ArtifactPaths paths(opts.artifactDir);
-    REQUIRE_ARTIFACT(paths.model(), "optimize");
-    REQUIRE_ARTIFACT(paths.violations(), "identify");
-    REQUIRE_ARTIFACT(paths.sciDatabase(), "identify");
-    invgen::InvariantSet model =
-        invgen::InvariantSet::loadBinary(paths.model());
-    std::set<size_t> violations =
-        core::loadIndexSet(paths.violations());
-    sci::SciDatabase db =
-        sci::SciDatabase::loadBinary(paths.sciDatabase());
+    core::PipelineConfig config = pipelineConfig(args);
+    auto pool = makePool(config.jobs);
+    core::PipelineResult r;
+    core::inferPhase(config, pool.get(), r);
 
-    auto pool = makePool(opts);
-    sci::InferenceResult inference =
-        sci::infer(model, db, violations, sci::InferConfig(),
-                   pool.get());
+    const sci::InferenceResult &inference = r.inference;
     std::printf("labeled:   %zu SCI, %zu non-SCI\n",
                 inference.labeledSci, inference.labeledNonSci);
     std::printf("inferred:  %zu SCI (accuracy %.0f%%, %zu clear "
@@ -1003,20 +879,9 @@ cmdInfer(const std::vector<std::string> &args_in)
     std::printf("semantic prior admitted %zu below the posterior "
                 "threshold\n",
                 inference.semanticRecommended);
-
-    std::ofstream out = openOutput(paths.inference());
-    std::vector<size_t> final_set = db.sciIndices();
-    final_set.insert(final_set.end(), inference.inferredSci.begin(),
-                     inference.inferredSci.end());
-    std::sort(final_set.begin(), final_set.end());
-    final_set.erase(std::unique(final_set.begin(), final_set.end()),
-                    final_set.end());
-    out << "# identified SCI: " << db.sciIndices().size() << "\n";
-    out << "# inferred SCI: " << inference.inferredSci.size() << "\n";
-    out << "# test accuracy: " << inference.testAccuracy << "\n";
-    for (size_t idx : final_set)
-        out << idx << "\t" << model.all()[idx].str() << "\n";
-    std::printf("wrote %s\n", paths.inference().c_str());
+    std::printf(
+        "wrote %s\n",
+        core::ArtifactPaths(config.artifactDir).inference().c_str());
     return 0;
 }
 
@@ -1026,47 +891,22 @@ cmdInfer(const std::vector<std::string> &args_in)
  * byte-identical across --jobs values.
  */
 int
-cmdAnalyze(const std::vector<std::string> &args_in)
+cmdAnalyze(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    bool auditTraces = false;
-    bool json = false;
-    for (auto it = args.begin(); it != args.end();) {
-        if (*it == "--audit-traces") {
-            auditTraces = true;
-            it = args.erase(it);
-        } else if (*it == "--json") {
-            json = true;
-            it = args.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    if (opts.artifactDir.empty() || !args.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder analyze [--jobs N] [--json] "
-                     "[--audit-traces] --artifact-dir D\n");
-        return 2;
-    }
-    core::ArtifactPaths paths(opts.artifactDir);
-    REQUIRE_ARTIFACT(paths.model(), "optimize");
-    invgen::InvariantSet model =
-        invgen::InvariantSet::loadBinary(paths.model());
+    core::ArtifactPaths paths(args.text("--artifact-dir"));
+    invgen::InvariantSet model = loadModel(paths);
 
-    auto pool = makePool(opts);
+    auto pool = makePool(args.number("--jobs", 1));
     analysis::AnalysisReport report =
         analysis::analyze(model.all(), pool.get());
 
     std::string audit;
-    if (auditTraces) {
+    if (args.has("--audit-traces")) {
         // Cross-check the model against the persisted training
         // traces: a violation here means an invariant the optimizer
         // kept does not even hold on its own training corpus. The
         // scan streams the set a chunk at a time.
-        REQUIRE_ARTIFACT(paths.traces(), "generate");
+        core::requireArtifact(paths.traces(), "generate");
         sci::CompiledModel compiled(model);
         trace::TraceSetReader traces(paths.traces());
         std::set<size_t> violated =
@@ -1087,7 +927,7 @@ cmdAnalyze(const std::vector<std::string> &args_in)
     std::string text = report.render() + audit;
     out << text;
 
-    if (json) {
+    if (args.has("--json")) {
         // Machine-readable mode: emit only the JSON document on
         // stdout (deterministic across --jobs; the text artifact is
         // still written above).
@@ -1126,39 +966,28 @@ cmdAnalyze(const std::vector<std::string> &args_in)
  * errors. The report is byte-identical across --jobs values.
  */
 int
-cmdAudit(const std::vector<std::string> &args_in)
+cmdAudit(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (opts.artifactDir.empty()) {
-        std::fprintf(stderr,
-                     "usage: scifinder audit [--jobs N] "
-                     "--artifact-dir D [bug...]\n");
-        return 2;
-    }
-    core::ArtifactPaths paths(opts.artifactDir);
-    REQUIRE_ARTIFACT(paths.model(), "optimize");
-    invgen::InvariantSet model =
-        invgen::InvariantSet::loadBinary(paths.model());
+    core::ArtifactPaths paths(args.text("--artifact-dir"));
+    invgen::InvariantSet model = loadModel(paths);
 
     // The dynamic cross-check is best-effort: without a phase-3
     // database the audit still reports footprints and static guards.
     std::unique_ptr<sci::SciDatabase> db;
     if (core::ArtifactPaths::exists(paths.sciDatabase()))
         db = std::make_unique<sci::SciDatabase>(
-            sci::SciDatabase::loadBinary(paths.sciDatabase()));
+            sci::SciDatabase::loadBinary(paths.sciDatabase(),
+                                         model.size()));
 
     std::vector<const bugs::Bug *> bugList;
-    if (args.empty()) {
+    if (args.operands.empty()) {
         bugList = bugs::table1();
     } else {
-        for (const auto &id : args)
+        for (const auto &id : args.operands)
             bugList.push_back(&bugs::byId(id));
     }
 
-    auto pool = makePool(opts);
+    auto pool = makePool(args.number("--jobs", 1));
     sci::AuditReport report =
         sci::audit(model, bugList, db.get(), pool.get());
 
@@ -1171,22 +1000,9 @@ cmdAudit(const std::vector<std::string> &args_in)
 }
 
 int
-cmdRun(const std::vector<std::string> &args_in)
+cmdRun(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-    if (!args.empty()) {
-        std::fprintf(stderr, "unknown option %s\n", args[0].c_str());
-        return 2;
-    }
-    core::PipelineConfig config;
-    config.runInference = !opts.noInference;
-    config.jobs = opts.jobs;
-    config.artifactDir = opts.artifactDir;
-    config.validationPrograms = opts.validationPrograms;
-    config.interpretedSim = opts.interpretedSim;
+    core::PipelineConfig config = pipelineConfig(args);
     core::PipelineResult r = core::runPipeline(config);
     std::printf("traces:      %llu records\n",
                 (unsigned long long)r.traceRecords);
@@ -1216,8 +1032,8 @@ cmdRun(const std::vector<std::string> &args_in)
                     (unsigned long long)(stage.traceResidentPeak /
                                          1024));
     }
-    if (!opts.artifactDir.empty())
-        std::printf("artifacts:   %s\n", opts.artifactDir.c_str());
+    if (!config.artifactDir.empty())
+        std::printf("artifacts:   %s\n", config.artifactDir.c_str());
     return 0;
 }
 
@@ -1227,81 +1043,16 @@ cmdRun(const std::vector<std::string> &args_in)
  * 1 otherwise, 2 on usage errors.
  */
 int
-cmdFuzz(const std::vector<std::string> &args_in)
+cmdFuzz(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-
     fuzz::FuzzConfig config;
-    config.artifactDir = opts.artifactDir;
-    bool fleet = false;
-    unsigned fleetShards = 0;
-    uint32_t fleetGrain = 16;
-    for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto value = [&](const char *flag) -> const std::string * {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                return nullptr;
-            }
-            return &args[++i];
-        };
-        auto number = [](const std::string &s, const char *flag,
-                         uint64_t *out) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-            if (s.empty() || *end != '\0') {
-                std::fprintf(stderr, "%s expects a number, got '%s'\n",
-                             flag, s.c_str());
-                return false;
-            }
-            *out = v;
-            return true;
-        };
-        if (arg == "--seed") {
-            const std::string *v = value("--seed");
-            if (!v || !number(*v, "--seed", &config.seed))
-                return 2;
-        } else if (arg == "--count") {
-            const std::string *v = value("--count");
-            uint64_t n = 0;
-            if (!v || !number(*v, "--count", &n))
-                return 2;
-            config.count = uint32_t(n);
-        } else if (arg == "--mutation-coverage") {
-            config.mutationCoverage = true;
-        } else if (arg == "--replay") {
-            const std::string *v = value("--replay");
-            if (!v)
-                return 2;
-            config.replayDir = *v;
-        } else if (arg == "--fleet") {
-            const std::string *v = value("--fleet");
-            uint64_t n = 0;
-            if (!v || !number(*v, "--fleet", &n))
-                return 2;
-            fleet = true;
-            fleetShards = unsigned(n);
-        } else if (arg == "--grain") {
-            const std::string *v = value("--grain");
-            uint64_t n = 0;
-            if (!v || !number(*v, "--grain", &n))
-                return 2;
-            if (n == 0) {
-                std::fprintf(stderr,
-                             "--grain must be at least 1\n");
-                return 2;
-            }
-            fleetGrain = uint32_t(n);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
-        }
-    }
+    config.artifactDir = args.text("--artifact-dir");
+    config.seed = args.number("--seed", config.seed);
+    config.count = uint32_t(args.number("--count", config.count));
+    config.mutationCoverage = args.has("--mutation-coverage");
+    config.replayDir = args.text("--replay");
 
-    if (fleet) {
+    if (args.has("--fleet")) {
         if (!config.replayDir.empty()) {
             std::fprintf(stderr,
                          "--fleet cannot replay a directory; drop "
@@ -1310,8 +1061,8 @@ cmdFuzz(const std::vector<std::string> &args_in)
         }
         fuzz::FleetConfig fc;
         fc.fuzz = config;
-        fc.shards = fleetShards;
-        fc.grain = fleetGrain;
+        fc.shards = unsigned(args.number("--fleet", fc.shards));
+        fc.grain = uint32_t(args.number("--grain", fc.grain));
         fuzz::FleetResult fr = fuzz::runFleet(fc);
         std::printf("%s", fr.result.render().c_str());
         std::printf("fleet: %u shards, %llu claims, %llu raw "
@@ -1319,16 +1070,16 @@ cmdFuzz(const std::vector<std::string> &args_in)
                     fr.shardsUsed, (unsigned long long)fr.claims,
                     (unsigned long long)fr.divergences,
                     (unsigned long long)fr.dedupDropped);
-        if (!opts.artifactDir.empty())
-            std::printf("artifacts:   %s\n", opts.artifactDir.c_str());
+        if (!config.artifactDir.empty())
+            std::printf("artifacts:   %s\n", config.artifactDir.c_str());
         return fr.result.ok() ? 0 : 1;
     }
 
-    auto pool = makePool(opts);
+    auto pool = makePool(args.number("--jobs", 1));
     fuzz::FuzzResult result = fuzz::runFuzz(config, pool.get());
     std::printf("%s", result.render().c_str());
-    if (!opts.artifactDir.empty())
-        std::printf("artifacts:   %s\n", opts.artifactDir.c_str());
+    if (!config.artifactDir.empty())
+        std::printf("artifacts:   %s\n", config.artifactDir.c_str());
     return result.ok() ? 0 : 1;
 }
 
@@ -1342,103 +1093,34 @@ cmdFuzz(const std::vector<std::string> &args_in)
  * fired, 2 on usage errors.
  */
 int
-cmdServe(const std::vector<std::string> &args_in)
+cmdServe(const Args &args)
 {
-    std::vector<std::string> args = args_in;
-    CommonOpts opts;
-    if (!parseCommon(args, opts))
-        return 2;
-
     monitor::ServiceConfig config;
-    bool useWorkloads = false;
-    uint64_t fuzzCount = 0;
-    uint64_t fuzzSeed = 1;
-    bool stats = false;
-    std::vector<std::string> sets;
-    for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto value = [&](const char *flag) -> const std::string * {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                return nullptr;
-            }
-            return &args[++i];
-        };
-        auto number = [](const std::string &s, const char *flag,
-                         uint64_t *out) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-            if (s.empty() || *end != '\0') {
-                std::fprintf(stderr, "%s expects a number, got '%s'\n",
-                             flag, s.c_str());
-                return false;
-            }
-            *out = v;
-            return true;
-        };
-        uint64_t n = 0;
-        if (arg == "--shards") {
-            const std::string *v = value("--shards");
-            if (!v || !number(*v, "--shards", &n))
-                return 2;
-            config.shards = size_t(n);
-        } else if (arg == "--queue-batches") {
-            const std::string *v = value("--queue-batches");
-            if (!v || !number(*v, "--queue-batches", &n) || n == 0)
-                return 2;
-            config.queueBatches = size_t(n);
-        } else if (arg == "--batch-records") {
-            const std::string *v = value("--batch-records");
-            if (!v || !number(*v, "--batch-records", &n) || n == 0)
-                return 2;
-            config.batchRecords = size_t(n);
-        } else if (arg == "--workloads") {
-            useWorkloads = true;
-        } else if (arg == "--fuzz") {
-            const std::string *v = value("--fuzz");
-            if (!v || !number(*v, "--fuzz", &fuzzCount))
-                return 2;
-        } else if (arg == "--seed") {
-            const std::string *v = value("--seed");
-            if (!v || !number(*v, "--seed", &fuzzSeed))
-                return 2;
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
-        } else {
-            sets.push_back(arg);
-        }
-    }
-    if (opts.artifactDir.empty() ||
-        (sets.empty() && !useWorkloads && fuzzCount == 0)) {
-        std::fprintf(
-            stderr,
-            "usage: scifinder serve --artifact-dir D [--jobs N] "
-            "[--shards N]\n"
-            "                 [--queue-batches N] [--batch-records N] "
-            "[--stats]\n"
-            "                 [--workloads] [--fuzz N [--seed S]] "
-            "[set.bin...]\n");
-        return 2;
-    }
+    config.shards = args.number("--shards", config.shards);
+    config.queueBatches =
+        args.number("--queue-batches", config.queueBatches);
+    config.batchRecords =
+        args.number("--batch-records", config.batchRecords);
+    bool useWorkloads = args.has("--workloads");
+    uint64_t fuzzCount = args.number("--fuzz", 0);
+    uint64_t fuzzSeed = args.number("--seed", 1);
+    const std::vector<std::string> &sets = args.operands;
+    if (sets.empty() && !useWorkloads && fuzzCount == 0)
+        return usageError(args);
 
     // The deployed set: assertions synthesized from the SCI the
     // pipeline identified (54 SCI -> 14 assertions in the paper).
-    core::ArtifactPaths paths(opts.artifactDir);
-    REQUIRE_ARTIFACT(paths.model(), "optimize");
-    REQUIRE_ARTIFACT(paths.sciDatabase(), "identify");
-    invgen::InvariantSet model =
-        invgen::InvariantSet::loadBinary(paths.model());
+    core::ArtifactPaths paths(args.text("--artifact-dir"));
+    invgen::InvariantSet model = loadModel(paths);
+    core::requireArtifact(paths.sciDatabase(), "identify");
     sci::SciDatabase db =
-        sci::SciDatabase::loadBinary(paths.sciDatabase());
+        sci::SciDatabase::loadBinary(paths.sciDatabase(), model.size());
     std::vector<monitor::Assertion> assertions =
         monitor::synthesize(model, db.sciIndices());
     if (assertions.empty()) {
         std::fprintf(stderr, "no SCI identified in %s; nothing to "
                              "enforce\n",
-                     opts.artifactDir.c_str());
+                     paths.dir().c_str());
         return 1;
     }
 
@@ -1502,7 +1184,7 @@ cmdServe(const std::vector<std::string> &args_in)
 
     // Feed concurrently, report in source order (deterministic for
     // any --jobs/--shards combination).
-    auto pool = makePool(opts);
+    auto pool = makePool(args.number("--jobs", 1));
     std::vector<monitor::SessionReport> reports(sources.size());
     support::parallelFor(pool.get(), sources.size(), [&](size_t i) {
         monitor::SessionSink sink(service, sources[i].name);
@@ -1521,7 +1203,7 @@ cmdServe(const std::vector<std::string> &args_in)
                 reports.size(), (unsigned long long)totalEvents,
                 (unsigned long long)totalFirings,
                 service.set().assertions().size());
-    if (stats) {
+    if (args.has("--stats")) {
         monitor::ServiceTelemetry t = service.telemetry();
         std::printf("throughput:  %.0f events/s over %.2fs (%llu "
                     "batches)\n",
@@ -1549,16 +1231,13 @@ cmdServe(const std::vector<std::string> &args_in)
 }
 
 int
-cmdExec(const std::vector<std::string> &args)
+cmdExec(const Args &args)
 {
-    if (args.size() != 1) {
-        std::fprintf(stderr, "usage: scifinder exec <file.s>\n");
-        return 2;
-    }
-    std::ifstream in(args[0]);
+    const std::string &path = args.operands[0];
+    std::ifstream in(path);
     if (!in) {
-        throw support::IoError(
-            args[0], "cannot open '" + args[0] + "'", errno);
+        throw support::IoError(path, "cannot open '" + path + "'",
+                               errno);
     }
     std::stringstream source;
     source << in.rdbuf();
@@ -1566,8 +1245,7 @@ cmdExec(const std::vector<std::string> &args)
     auto asmResult = assembler::assemble(source.str());
     if (!asmResult.ok) {
         for (const auto &err : asmResult.errors)
-            std::fprintf(stderr, "%s: %s\n", args[0].c_str(),
-                         err.c_str());
+            std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
         return 1;
     }
 
@@ -1595,49 +1273,116 @@ cmdExec(const std::vector<std::string> &args)
     return 0;
 }
 
+constexpr size_t many = SIZE_MAX;
+
+const Command commands[] = {
+    {"run", "", 0, 0, nullptr, "run all phases and report", cmdRun},
+    {"generate", "[workload...]", 0, many, "--artifact-dir",
+     "phase 1: run the workloads, infer the raw invariant model",
+     cmdGenerate},
+    {"optimize", "", 0, 0, "--artifact-dir",
+     "phase 2: optimize the raw model", cmdOptimize},
+    {"identify", "[bug...]", 0, many, nullptr,
+     "phase 3: identify SCI for the errata (without --artifact-dir: "
+     "phases 1-3 in memory for the listed bugs)",
+     cmdIdentify},
+    {"infer", "", 0, 0, "--artifact-dir",
+     "phase 4: infer additional SCI", cmdInfer},
+    {"analyze", "", 0, 0, "--artifact-dir",
+     "classify the optimized model with the abstract-interpretation "
+     "analyzer",
+     cmdAnalyze},
+    {"audit", "[bug...]", 0, many, "--artifact-dir",
+     "security-dataflow audit, cross-checked against phase 3 "
+     "(exit 1 = unsound)",
+     cmdAudit},
+    {"fuzz", "", 0, 0, nullptr,
+     "differential fuzz the simulator against the reference "
+     "interpreter",
+     cmdFuzz},
+    {"serve", "[set.bin...]", 0, many, "--artifact-dir",
+     "enforce the identified-SCI assertions on concurrent sessions "
+     "(exit 1 if any fired)",
+     cmdServe},
+    {"trace capture", "<workload> <out>", 2, 2, nullptr,
+     "run a workload straight into a trace set", cmdTraceCapture},
+    {"trace dump", "<set>", 1, 1, nullptr,
+     "print records of a trace set", cmdTraceDump},
+    {"trace count", "<set>", 1, 1, nullptr,
+     "stream and record totals of a trace set", cmdTraceCount},
+    {"trace diff", "<a> <b>", 2, 2, nullptr,
+     "compare two trace sets record by record (exit 1 = differ)",
+     cmdTraceDiff},
+    {"trace extract", "<in> <out>", 2, 2, "--stream",
+     "copy one stream, or a record range of it, into a new set",
+     cmdTraceExtract},
+    {"trace merge", "<out> <in>...", 2, many, nullptr,
+     "merge trace sets into one set", cmdTraceMerge},
+    {"exec", "<file.s>", 1, 1, nullptr,
+     "assemble and execute a program", cmdExec},
+    {"workloads", "", 0, 0, nullptr, "list the 17 training workloads",
+     cmdWorkloads},
+    {"bugs", "", 0, 0, nullptr, "list the 31 reproduced errata",
+     cmdBugs},
+    {"errata", "", 0, 0, nullptr,
+     "the collected-errata catalog and the phase-2 classification aid",
+     cmdErrata},
+    {"properties", "", 0, 0, nullptr,
+     "list the security-property catalog", cmdProperties},
+};
+
+int
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: scifinder <command> [flags] [operands]\n\n"
+                 "commands:\n");
+    for (const Command &cmd : commands) {
+        printWrapped("  ", synopsis(cmd), 8);
+        printWrapped("        ", split(cmd.summary, ' '), 8);
+    }
+    std::fprintf(stderr, "\nflags (a command rejects any it does not "
+                         "list):\n");
+    for (const Flag &flag : flags) {
+        printWrapped(format("  %-20s ", flagWord(flag).c_str()),
+                     split(flag.help, ' '), 23);
+    }
+    std::fprintf(stderr,
+                 "\nexit status: 0 ok, 1 negative result or missing "
+                 "artifact, 2 usage,\n"
+                 "             3 I/O error or corrupt artifact\n");
+    return 2;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    std::vector<std::string> words(argv + 1, argv + argc);
+    std::string one = words.empty() ? "" : words[0];
+    std::string two = words.size() < 2 ? "" : one + " " + words[1];
+    Args args;
+    size_t nameWords = 0;
+    for (const Command &cmd : commands) {
+        if (cmd.name == one || cmd.name == two) {
+            args.cmd = &cmd;
+            nameWords = cmd.name == one ? 1 : 2;
+            break;
+        }
+    }
+    if (args.cmd == nullptr)
         return usage();
-    std::string cmd = argv[1];
-    std::vector<std::string> args(argv + 2, argv + argc);
+    if (!parse({words.begin() + ptrdiff_t(nameWords), words.end()},
+               args))
+        return usageError(args);
 
     try {
-        if (cmd == "workloads")
-            return cmdWorkloads();
-        if (cmd == "bugs")
-            return cmdBugs();
-        if (cmd == "errata")
-            return cmdErrata();
-        if (cmd == "properties")
-            return cmdProperties();
-        if (cmd == "trace")
-            return cmdTrace(args);
-        if (cmd == "generate")
-            return cmdGenerate(args);
-        if (cmd == "optimize")
-            return cmdOptimize(args);
-        if (cmd == "identify")
-            return cmdIdentify(args);
-        if (cmd == "infer")
-            return cmdInfer(args);
-        if (cmd == "analyze")
-            return cmdAnalyze(args);
-        if (cmd == "audit")
-            return cmdAudit(args);
-        if (cmd == "run")
-            return cmdRun(args);
-        if (cmd == "fuzz")
-            return cmdFuzz(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "exec")
-            return cmdExec(args);
+        return args.cmd->run(args);
+    } catch (const core::MissingArtifact &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     } catch (const support::IoError &e) {
         return ioErrorExit(e);
     }
-    return usage();
 }

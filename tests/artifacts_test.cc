@@ -37,9 +37,10 @@ truncateFile(const std::string &path, uintmax_t keep)
     std::filesystem::resize_file(path, keep);
 }
 
-/** Overwrite the two bytes at @p offset with the u16 @p value. */
+/** Overwrite the bytes at @p offset with @p value. */
+template <typename T>
 void
-patchU16(const std::string &path, std::streamoff offset, uint16_t value)
+patch(const std::string &path, std::streamoff offset, T value)
 {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good()) << path;
@@ -140,7 +141,7 @@ TEST(Artifacts, SciDatabaseRoundTrip)
 
     std::string path = tmpPath("scidb.bin");
     db.saveBinary(path);
-    auto loaded = sci::SciDatabase::loadBinary(path);
+    auto loaded = sci::SciDatabase::loadBinary(path, 43);
 
     EXPECT_EQ(loaded.sciIndices(), db.sciIndices());
     EXPECT_EQ(loaded.nonSciIndices(), db.nonSciIndices());
@@ -162,10 +163,10 @@ TEST(Artifacts, IndexSetRoundTrip)
     std::set<size_t> indices = {0, 5, 42, 1000000};
     std::string path = tmpPath("violations.bin");
     core::saveIndexSet(path, indices);
-    EXPECT_EQ(core::loadIndexSet(path), indices);
+    EXPECT_EQ(core::loadIndexSet(path, 1000001), indices);
 
     core::saveIndexSet(path, {});
-    EXPECT_TRUE(core::loadIndexSet(path).empty());
+    EXPECT_TRUE(core::loadIndexSet(path, 0).empty());
 }
 
 // The ArtifactsDeathTest cases date from loaders that exited the
@@ -177,7 +178,7 @@ TEST(ArtifactsDeathTest, TruncatedIndexSetRejected)
     std::string path = tmpPath("truncated.bin");
     core::saveIndexSet(path, {1, 2, 3});
     truncateFile(path, 12); // header survives, payload cut mid-u64
-    auto e = expectRejected([&] { core::loadIndexSet(path); }, path,
+    auto e = expectRejected([&] { core::loadIndexSet(path, 4); }, path,
                             "truncated");
     // The offset names the u64 count that the cut split.
     EXPECT_TRUE(e.hasOffset());
@@ -216,7 +217,7 @@ TEST(ArtifactsDeathTest, WrongMagicRejected)
     std::string path = tmpPath("not-an-artifact.bin");
     std::ofstream(path) << "this is not a binary artifact at all";
     auto e = expectRejected(
-        [&] { sci::SciDatabase::loadBinary(path); }, path, "not a");
+        [&] { sci::SciDatabase::loadBinary(path, 1); }, path, "not a");
     EXPECT_EQ(e.offset(), 0u);
 }
 
@@ -242,10 +243,56 @@ TEST(Artifacts, SciDatabaseCountBeyondFileRejected)
     db.saveBinary(path);
     // Header (8), result count (8), bug id (4 + 2), trueSci count.
     constexpr std::streamoff trueSciCountAt = 8 + 8 + 4 + 2;
-    patchU16(path, trueSciCountAt + 4, 1); // count = 1 << 32
-    auto e = expectRejected([&] { sci::SciDatabase::loadBinary(path); },
-                            path, "truncated");
+    patch<uint16_t>(path, trueSciCountAt + 4, 1); // count = 1 << 32
+    auto e = expectRejected(
+        [&] { sci::SciDatabase::loadBinary(path, 1); }, path,
+        "truncated");
     EXPECT_EQ(e.offset(), std::filesystem::file_size(path));
+}
+
+TEST(Artifacts, SciDatabaseIndexOutOfRangeRejected)
+{
+    // serve, infer and audit index the model with every SCI index; the
+    // loader rejects one at or beyond the model's size at its offset.
+    sci::SciDatabase db;
+    sci::IdentificationResult r;
+    r.bugId = "b1";
+    r.trueSci = {3, 7};
+    db.addResult(r);
+    std::string path = tmpPath("scidb-index.bin");
+    db.saveBinary(path);
+    EXPECT_EQ(sci::SciDatabase::loadBinary(path, 8).sciIndices(),
+              db.sciIndices());
+
+    // Header (8), result count (8), bug id (4 + 2), trueSci count (8).
+    constexpr std::streamoff firstSciAt = 8 + 8 + 4 + 2 + 8;
+    auto e = expectRejected(
+        [&] { sci::SciDatabase::loadBinary(path, 7); }, path,
+        "index 7 is beyond the 7-invariant model");
+    EXPECT_EQ(e.offset(), uint64_t(firstSciAt + 8));
+
+    patch<uint64_t>(path, firstSciAt, 1000000000);
+    e = expectRejected([&] { sci::SciDatabase::loadBinary(path, 8); },
+                       path, "index 1000000000 is beyond");
+    EXPECT_EQ(e.offset(), uint64_t(firstSciAt));
+}
+
+TEST(Artifacts, IndexSetIndexOutOfRangeRejected)
+{
+    std::string path = tmpPath("violations-index.bin");
+    core::saveIndexSet(path, {2, 9});
+    EXPECT_EQ(core::loadIndexSet(path, 10), (std::set<size_t>{2, 9}));
+
+    // Header (8), count (8), then the indices in ascending order.
+    constexpr std::streamoff firstAt = 8 + 8;
+    auto e = expectRejected([&] { core::loadIndexSet(path, 9); }, path,
+                            "index 9 is beyond the 9-invariant model");
+    EXPECT_EQ(e.offset(), uint64_t(firstAt + 8));
+
+    patch<uint64_t>(path, firstAt, 1000000000);
+    e = expectRejected([&] { core::loadIndexSet(path, 10); }, path,
+                       "index 1000000000 is beyond");
+    EXPECT_EQ(e.offset(), uint64_t(firstAt));
 }
 
 TEST(ArtifactsDeathTest, TrailingGarbageRejected)
@@ -254,7 +301,7 @@ TEST(ArtifactsDeathTest, TrailingGarbageRejected)
     core::saveIndexSet(path, {1, 2});
     auto size = std::filesystem::file_size(path);
     std::ofstream(path, std::ios::app | std::ios::binary) << "XX";
-    auto e = expectRejected([&] { core::loadIndexSet(path); }, path,
+    auto e = expectRejected([&] { core::loadIndexSet(path, 3); }, path,
                             "trailing");
     EXPECT_EQ(e.offset(), size);
 }
@@ -262,7 +309,7 @@ TEST(ArtifactsDeathTest, TrailingGarbageRejected)
 TEST(ArtifactsDeathTest, MissingFileRejected)
 {
     std::string path = tmpPath("does-not-exist.bin");
-    auto e = expectRejected([&] { core::loadIndexSet(path); }, path,
+    auto e = expectRejected([&] { core::loadIndexSet(path, 1); }, path,
                             "cannot open");
     EXPECT_EQ(e.errnum(), ENOENT);
     EXPECT_FALSE(e.hasOffset());
@@ -293,13 +340,13 @@ TEST(Artifacts, ModelVariableIdOutOfRangeRejected)
     // A variable id beyond the schema would index past every record's
     // value array; the loader rejects it and names where it sits.
     std::string path = oneInvariantModel("bad-var.bin");
-    patchU16(path, lhsVarAt, 0xffff);
+    patch<uint16_t>(path, lhsVarAt, 0xffff);
     auto e = expectRejected(
         [&] { invgen::InvariantSet::loadBinary(path); }, path,
         "variable id 65535");
     EXPECT_EQ(e.offset(), uint64_t(lhsVarAt));
 
-    patchU16(path, lhsVarAt, trace::numVars);
+    patch<uint16_t>(path, lhsVarAt, trace::numVars);
     expectRejected([&] { invgen::InvariantSet::loadBinary(path); },
                    path, "variable id");
 }
@@ -310,7 +357,7 @@ TEST(Artifacts, ModelPointIdOutOfRangeRejected)
 
     // A mnemonic that is neither an instruction nor the interrupt
     // slot.
-    patchU16(path, pointIdAt, 0xffff);
+    patch<uint16_t>(path, pointIdAt, 0xffff);
     auto e = expectRejected(
         [&] { invgen::InvariantSet::loadBinary(path); }, path,
         "point id 65535");
@@ -319,7 +366,7 @@ TEST(Artifacts, ModelPointIdOutOfRangeRejected)
     // A real mnemonic qualified by an undefined exception.
     uint16_t badException =
         uint16_t(trace::Point::insn(isa::Mnemonic::L_ADD).id() | 0x1f);
-    patchU16(path, pointIdAt, badException);
+    patch<uint16_t>(path, pointIdAt, badException);
     e = expectRejected([&] { invgen::InvariantSet::loadBinary(path); },
                        path, "point id");
     EXPECT_EQ(e.offset(), uint64_t(pointIdAt));
