@@ -2,16 +2,16 @@
  * @file
  * Throughput of the differential fuzzing harness: program generation,
  * assembly, lockstep co-simulation against the reference interpreter,
- * and the 31-mutant kill-mask evaluation, plus a fleet-width sweep of
- * the work-stealing fuzzing fleet (fuzz/fleet.hh). These set the
- * budget for the nightly fuzz job: the printed programs/second
- * figures times the job's wall-clock allowance gives the campaign
- * size, and the fleet efficiency column says how much a wider runner
- * buys.
+ * and the 31-mutant kill-mask evaluation, plus a pool-width sweep of
+ * whole campaigns (fuzz::runFuzz, what `scifinder fuzz --jobs N`
+ * runs). These set the budget for the nightly fuzz job: the printed
+ * programs/second figures times the job's wall-clock allowance gives
+ * the campaign size, and the efficiency column says how much a wider
+ * runner buys.
  *
  * Flags (on top of the common bench flags):
- *   --require-speedup <x>  fail (exit 1) unless the widest fleet
- *                          beats the width-1 fleet by at least x
+ *   --require-speedup <x>  fail (exit 1) unless the widest pool
+ *                          beats the width-1 pool by at least x
  *                          (CI smoke uses 1.0 — hosted runners have
  *                          few cores; the design target is 0.7 * the
  *                          sweep's widest width on real hardware).
@@ -28,10 +28,11 @@
 #include "asm/assembler.hh"
 #include "bench/common.hh"
 #include "fuzz/differ.hh"
-#include "fuzz/fleet.hh"
+#include "fuzz/fuzzer.hh"
 #include "fuzz/mutcov.hh"
 #include "fuzz/progen.hh"
 #include "support/strings.hh"
+#include "support/threadpool.hh"
 
 namespace scif {
 namespace {
@@ -103,51 +104,50 @@ experiment()
     bench::recordMetric("fuzz.killmask", 20 / secs(t2, t3),
                         "programs/s");
 
-    // Fleet-width sweep: the same campaign at widths 1/2/4/8. The
-    // fleet's determinism contract means only the wall clock may
-    // move, so the sweep is a pure scaling measurement.
-    fuzz::FleetConfig fc;
-    fc.fuzz.seed = benchSeed;
-    fc.fuzz.count = 96;
-    fc.grain = 8;
+    // Pool-width sweep: the same campaign at widths 1/2/4/8. Its
+    // reports are identical for any width, so only the wall clock
+    // may move and the sweep is a pure scaling measurement.
+    fuzz::FuzzConfig fc;
+    fc.seed = benchSeed;
+    fc.count = 96;
     const unsigned widths[] = {1, 2, 4, 8};
-    TextTable fleet({"Fleet width", "Time (s)", "Programs/s",
-                     "Speedup", "Efficiency"});
+    TextTable sweep({"Pool width", "Time (s)", "Programs/s", "Speedup",
+                     "Efficiency"});
     double base = 0;
     double widest = 0;
     for (unsigned width : widths) {
-        fc.shards = width;
+        support::ThreadPool pool(width);
         auto f0 = clock::now();
-        fuzz::FleetResult fr = fuzz::runFleet(fc);
+        fuzz::FuzzResult result = fuzz::runFuzz(fc, &pool);
         double t = secs(f0, clock::now());
-        if (!fr.result.ok())
-            bench::failBench("fleet campaign diverged in the bench");
-        double rate = fc.fuzz.count / t;
+        if (!result.ok())
+            bench::failBench("fuzz campaign diverged in the bench");
+        double rate = fc.count / t;
         if (width == 1)
             base = rate;
         widest = rate / base;
-        fleet.addRow({std::to_string(width), format("%.3f", t),
+        sweep.addRow({std::to_string(width), format("%.3f", t),
                       format("%.0f", rate),
                       format("%.2fx", rate / base),
                       format("%.0f%%", 100.0 * rate / base / width)});
-        bench::recordMetric(format("fuzz.fleet.w%u", width), rate,
+        bench::recordMetric(format("fuzz.jobs.w%u", width), rate,
                             "programs/s");
-        bench::recordMetric(format("fuzz.fleet.w%u.efficiency", width),
+        bench::recordMetric(format("fuzz.jobs.w%u.efficiency", width),
                             rate / base / width, "");
     }
-    std::printf("%s\n", fleet.render().c_str());
-    bench::recordMetric("fuzz.fleet.speedup", widest, "x");
+    std::printf("%s\n", sweep.render().c_str());
+    bench::recordMetric("fuzz.jobs.speedup", widest, "x");
 
     double gate = bench::options().requireSpeedup;
     if (gate > 0 && std::thread::hardware_concurrency() < 2) {
-        // A wider fleet cannot beat width 1 without a second core;
+        // A wider pool cannot beat width 1 without a second core;
         // report the measurement but keep single-core hosts green.
-        std::printf("single-core host: widest-fleet gate skipped "
+        std::printf("single-core host: widest-pool gate skipped "
                     "(measured %.2fx, required %.2fx)\n",
                     widest, gate);
     } else if (gate > 0 && widest < gate) {
         bench::failBench(format(
-            "widest-fleet speedup %.2fx below the required %.2fx",
+            "widest-pool speedup %.2fx below the required %.2fx",
             widest, gate));
     }
 }

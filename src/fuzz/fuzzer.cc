@@ -1,10 +1,13 @@
 #include "fuzzer.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "support/ioerror.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -14,15 +17,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** One corpus entry: source plus (for generated programs) the
- *  gadget-granular form the shrinker needs. */
-struct CorpusItem
+/** What one corpus program leaves behind. Its source and image die
+ *  with its task, so a long campaign holds only these. */
+struct Outcome
 {
-    std::string name;
-    std::string source;
-    GeneratedProgram gen;
-    bool shrinkable = false;
-    assembler::Program program;
+    Repro repro;               ///< repro.divergence set if it diverged
+    uint64_t killMask = 0;     ///< with mutation coverage
+    std::exception_ptr error;  ///< the I/O failure that stopped it
 };
 
 std::string
@@ -30,7 +31,7 @@ readFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        fatal("cannot read '%s'", path.c_str());
+        throw support::IoError(path, "cannot read '" + path + "'", errno);
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
@@ -40,83 +41,44 @@ void
 writeFile(const std::string &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary);
+    if (out)
+        out << text;
+    out.close();
     if (!out)
-        fatal("cannot write '%s'", path.c_str());
-    out << text;
+        throw support::IoError(path, "cannot write '" + path + "'", errno);
 }
 
 void
-assembleItem(CorpusItem &item)
-{
-    assembler::Result result = assembler::assemble(item.source);
-    if (!result.ok) {
-        fatal("corpus program '%s' does not assemble: %s",
-              item.name.c_str(),
-              join(result.errors, "; ").c_str());
-    }
-    item.program = result.program;
-}
-
-std::vector<CorpusItem>
-buildCorpus(const FuzzConfig &config)
-{
-    std::vector<CorpusItem> corpus;
-
-    if (!config.replayDir.empty()) {
-        std::error_code ec;
-        std::vector<std::string> paths;
-        for (const auto &entry :
-             fs::directory_iterator(config.replayDir, ec)) {
-            if (entry.path().extension() == ".s")
-                paths.push_back(entry.path().string());
-        }
-        if (ec) {
-            fatal("cannot read replay directory '%s': %s",
-                  config.replayDir.c_str(), ec.message().c_str());
-        }
-        std::sort(paths.begin(), paths.end());
-        if (paths.empty())
-            fatal("replay directory '%s' contains no .s programs",
-                  config.replayDir.c_str());
-        for (const std::string &path : paths) {
-            CorpusItem item;
-            item.name = fs::path(path).stem().string();
-            item.source = readFile(path);
-            assembleItem(item);
-            corpus.push_back(std::move(item));
-        }
-        return corpus;
-    }
-
-    // Generation is serial by design: each program draws from its own
-    // (seed, index)-derived stream, so the corpus is identical no
-    // matter how many jobs later execute it.
-    for (uint32_t i = 0; i < config.count; ++i) {
-        CorpusItem item;
-        item.gen = generate(config.gen, config.seed, i);
-        item.name = item.gen.name;
-        item.source = item.gen.source();
-        item.shrinkable = true;
-        assembleItem(item);
-        corpus.push_back(std::move(item));
-    }
-    return corpus;
-}
-
-void
-saveCorpus(const std::vector<CorpusItem> &corpus,
-           const std::string &dir)
+makeDir(const std::string &dir)
 {
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) {
-        fatal("cannot create corpus directory '%s': %s", dir.c_str(),
-              ec.message().c_str());
+        throw support::IoError(dir, "cannot create directory '" + dir + "'",
+                               ec.value());
     }
-    for (size_t i = 0; i < corpus.size(); ++i) {
-        writeFile(format("%s/prog_%04zu.s", dir.c_str(), i),
-                  corpus[i].source);
+}
+
+/** The *.s programs of a replay directory, in name order. */
+std::vector<std::string>
+replayPaths(const std::string &dir)
+{
+    std::error_code ec;
+    std::vector<std::string> paths;
+    for (const auto &entry : fs::directory_iterator(dir, ec)) {
+        if (entry.path().extension() == ".s")
+            paths.push_back(entry.path().string());
     }
+    if (ec) {
+        throw support::IoError(
+            dir, "cannot read replay directory '" + dir + "'", ec.value());
+    }
+    if (paths.empty()) {
+        throw support::IoError(
+            dir, "replay directory '" + dir + "' contains no .s programs");
+    }
+    std::sort(paths.begin(), paths.end());
+    return paths;
 }
 
 } // namespace
@@ -156,77 +118,115 @@ FuzzResult::render() const
 FuzzResult
 runFuzz(const FuzzConfig &config, support::ThreadPool *pool)
 {
-    std::vector<CorpusItem> corpus = buildCorpus(config);
+    const bool replay = !config.replayDir.empty();
+    std::vector<std::string> paths;
+    if (replay)
+        paths = replayPaths(config.replayDir);
+    const size_t count = replay ? paths.size() : config.count;
 
-    if (!config.artifactDir.empty() && config.replayDir.empty())
-        saveCorpus(corpus, config.artifactDir + "/corpus");
+    std::string corpusDir;
+    if (!config.artifactDir.empty() && !replay) {
+        corpusDir = config.artifactDir + "/corpus";
+        makeDir(corpusDir);
+    }
 
     DiffConfig dc;
+    dc.mutations = config.mutations;
     dc.memBytes = config.gen.memBytes;
     dc.maxInsns = config.maxInsns;
     dc.maxSteps = config.maxInsns * 2;
 
-    // Differential pass; a mismatching generated program is shrunk
-    // in-task so the expensive part parallelizes with the rest.
-    std::vector<Repro> outcomes = support::parallelMap(
-        pool, corpus, [&](const CorpusItem &item) {
-            Repro repro;
-            repro.divergence = diffProgram(item.program, dc);
-            if (repro.divergence && item.shrinkable) {
-                ShrinkResult minimal = shrink(item.gen, dc);
-                repro.divergence = minimal.divergence;
-                repro.source = minimal.source;
-            } else if (repro.divergence) {
-                repro.source = item.source;
+    MutCovConfig mc;
+    mc.memBytes = config.gen.memBytes;
+    mc.maxInsns = config.maxInsns;
+
+    // Task i takes program i from source to outcome: generate it from
+    // (seed, i) or read replay file i, save it, co-simulate, shrink a
+    // divergence and score its kills. Nothing a task does depends on
+    // another, so the outcomes are the same for any pool width.
+    std::vector<Outcome> outcomes(count);
+    support::parallelFor(pool, count, [&](size_t i) {
+        Outcome &out = outcomes[i];
+        try {
+            GeneratedProgram gen;
+            std::string name, source;
+            if (replay) {
+                name = fs::path(paths[i]).stem().string();
+                source = readFile(paths[i]);
+            } else {
+                gen = generate(config.gen, config.seed, uint32_t(i));
+                name = gen.name;
+                source = gen.source();
             }
-            return repro;
-        });
+            if (!corpusDir.empty()) {
+                writeFile(format("%s/prog_%04zu.s", corpusDir.c_str(), i),
+                          source);
+            }
+            assembler::Result assembled = assembler::assemble(source);
+            if (!assembled.ok) {
+                std::string errors = join(assembled.errors, "; ");
+                if (!replay) {
+                    panic("generated program '%s' does not assemble: %s",
+                          name.c_str(), errors.c_str());
+                }
+                throw support::IoError(
+                    paths[i],
+                    "'" + paths[i] + "' does not assemble: " + errors);
+            }
 
+            Divergence divergence = diffProgram(assembled.program, dc);
+            if (divergence) {
+                out.repro.index = uint32_t(i);
+                out.repro.name = name;
+                if (replay) {
+                    out.repro.divergence = divergence;
+                    out.repro.source = source;
+                } else {
+                    ShrinkResult minimal = shrink(gen, dc);
+                    out.repro.divergence = minimal.divergence;
+                    out.repro.source = minimal.source;
+                }
+            }
+            if (config.mutationCoverage)
+                out.killMask = killMask(assembled.program, mc);
+        } catch (...) {
+            out.error = std::current_exception();
+        }
+    });
+
+    // The lowest-index failure is reported, whichever task hit its
+    // failure first.
     FuzzResult result;
-    result.programs = uint32_t(corpus.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        if (!outcomes[i].divergence)
-            continue;
-        Repro repro = std::move(outcomes[i]);
-        repro.index = uint32_t(i);
-        repro.name = corpus[i].name;
-        result.repros.push_back(std::move(repro));
+    result.programs = uint32_t(count);
+    std::vector<uint64_t> masks;
+    masks.reserve(count);
+    for (Outcome &out : outcomes) {
+        if (out.error)
+            std::rethrow_exception(out.error);
+        if (out.repro.divergence)
+            result.repros.push_back(std::move(out.repro));
+        masks.push_back(out.killMask);
     }
-
     if (config.mutationCoverage) {
-        MutCovConfig mc;
-        mc.memBytes = config.gen.memBytes;
-        mc.maxInsns = config.maxInsns;
-        std::vector<assembler::Program> programs;
-        programs.reserve(corpus.size());
-        for (const CorpusItem &item : corpus)
-            programs.push_back(item.program);
-        result.coverage = runCoverage(programs, mc, pool);
+        result.coverage = tallyCoverage(masks);
         result.coverageRan = true;
     }
 
     if (!config.artifactDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(config.artifactDir, ec);
-        if (ec) {
-            fatal("cannot create artifact directory '%s': %s",
-                  config.artifactDir.c_str(), ec.message().c_str());
-        }
-        writeFile(config.artifactDir + "/fuzz_report.txt",
-                  result.render());
+        const std::string &dir = config.artifactDir;
+        makeDir(dir);
+        writeFile(dir + "/fuzz_report.txt", result.render());
         for (const Repro &r : result.repros) {
-            writeFile(format("%s/repro_%04u.s",
-                             config.artifactDir.c_str(), r.index),
+            writeFile(format("%s/repro_%04u.s", dir.c_str(), r.index),
                       r.source);
         }
         if (result.coverageRan) {
-            writeFile(config.artifactDir + "/mutation_coverage.txt",
+            writeFile(dir + "/mutation_coverage.txt",
                       result.coverage.render());
             std::string survivors;
             for (const std::string &id : result.coverage.survivors())
                 survivors += id + "\n";
-            writeFile(config.artifactDir + "/surviving_mutants.txt",
-                      survivors);
+            writeFile(dir + "/surviving_mutants.txt", survivors);
         }
     }
 

@@ -7,9 +7,10 @@
  *
  * Determinism contract: for a fixed (seed, count, generator config)
  * the corpus, every report, and every artifact byte are identical
- * across runs and across --jobs values. Generation is serial (one Rng
- * stream per program, derived from seed and index); execution fans
- * out over the thread pool with index-ordered result collection.
+ * across runs and across --jobs values. One pool task per program
+ * generates it from its own (seed, index)-derived Rng stream (or
+ * reads its replay file) and runs it to an outcome; outcomes are
+ * collected in index order.
  */
 
 #ifndef SCIFINDER_FUZZ_FUZZER_HH
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/mutation.hh"
 #include "fuzz/differ.hh"
 #include "fuzz/mutcov.hh"
 #include "fuzz/progen.hh"
@@ -37,6 +39,11 @@ struct FuzzConfig
                                 ///< generating ("" = generate)
     GenConfig gen;              ///< program-shape knobs
     uint64_t maxInsns = 20000;  ///< per-program retirement budget
+
+    /** Mutations injected into the Cpu side of every co-simulation
+     *  (empty = clean CPU vs reference). There is no CLI flag for
+     *  it: tests set it to force divergences. */
+    cpu::MutationSet mutations;
 };
 
 /** One diverging program, minimized. */
@@ -64,7 +71,13 @@ struct FuzzResult
     std::string render() const;
 };
 
-/** Run one campaign. @p pool may be null (serial). */
+/**
+ * Run one campaign. @p pool may be null (serial).
+ *
+ * @throw support::IoError when the replay directory or a replay file
+ *        cannot be read, a replay program does not assemble, or an
+ *        artifact cannot be written (the lowest-index failure).
+ */
 FuzzResult runFuzz(const FuzzConfig &config, support::ThreadPool *pool);
 
 } // namespace scif::fuzz

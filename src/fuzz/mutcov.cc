@@ -23,9 +23,10 @@ struct Execution
     uint32_t eear = 0;
 };
 
-Execution
+/** Run @p program into @p exec, reusing its trace storage. */
+void
 execute(const assembler::Program &program, const MutCovConfig &config,
-        cpu::MutationSet mutations)
+        cpu::MutationSet mutations, Execution &exec)
 {
     cpu::CpuConfig cc;
     cc.memBytes = config.memBytes;
@@ -33,7 +34,7 @@ execute(const assembler::Program &program, const MutCovConfig &config,
     cc.maxInsns = config.maxInsns;
     cc.mutations = mutations;
 
-    Execution exec;
+    exec.trace.clear();
     cpu::Cpu c(cc);
     c.loadProgram(program);
     exec.result = c.run(&exec.trace);
@@ -43,7 +44,6 @@ execute(const assembler::Program &program, const MutCovConfig &config,
     exec.sr = c.readSpr(isa::spr::SR);
     exec.epcr = c.readSpr(isa::spr::EPCR0);
     exec.eear = c.readSpr(isa::spr::EEAR0);
-    return exec;
 }
 
 bool
@@ -80,12 +80,14 @@ distinguishable(const Execution &clean, const Execution &mutant)
 uint64_t
 killMask(const assembler::Program &program, const MutCovConfig &config)
 {
-    Execution clean = execute(program, config, {});
+    Execution clean, mutant;
+    execute(program, config, {}, clean);
 
+    // The mutant runs share one trace buffer, so only the first of
+    // them pays for growing it.
     uint64_t mask = 0;
     for (size_t m = 0; m < cpu::numMutations; ++m) {
-        Execution mutant =
-            execute(program, config, {cpu::Mutation(m)});
+        execute(program, config, {cpu::Mutation(m)}, mutant);
         if (distinguishable(clean, mutant))
             mask |= uint64_t(1) << m;
     }
@@ -93,14 +95,8 @@ killMask(const assembler::Program &program, const MutCovConfig &config)
 }
 
 CoverageReport
-runCoverage(const std::vector<assembler::Program> &corpus,
-            const MutCovConfig &config, support::ThreadPool *pool)
+tallyCoverage(const std::vector<uint64_t> &masks)
 {
-    std::vector<uint64_t> masks = support::parallelMap(
-        pool, corpus, [&](const assembler::Program &program) {
-            return killMask(program, config);
-        });
-
     CoverageReport report;
     report.scores.resize(cpu::numMutations);
     for (const bugs::Bug &bug : bugs::all()) {
@@ -109,7 +105,7 @@ runCoverage(const std::vector<assembler::Program> &corpus,
         score.bugId = bug.id;
         score.synopsis = bug.synopsis;
         score.heldOut = bug.heldOut;
-        score.programs = uint32_t(corpus.size());
+        score.programs = uint32_t(masks.size());
     }
     for (size_t i = 0; i < masks.size(); ++i) {
         for (size_t m = 0; m < cpu::numMutations; ++m) {
@@ -122,6 +118,16 @@ runCoverage(const std::vector<assembler::Program> &corpus,
         }
     }
     return report;
+}
+
+CoverageReport
+runCoverage(const std::vector<assembler::Program> &corpus,
+            const MutCovConfig &config, support::ThreadPool *pool)
+{
+    return tallyCoverage(support::parallelMap(
+        pool, corpus, [&](const assembler::Program &program) {
+            return killMask(program, config);
+        }));
 }
 
 bool

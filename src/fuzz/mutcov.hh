@@ -73,6 +73,12 @@ uint64_t killMask(const assembler::Program &program,
                   const MutCovConfig &config);
 
 /**
+ * Tally per-program kill masks, in corpus order, into the corpus-wide
+ * report: kills per mutation and the lowest killing index.
+ */
+CoverageReport tallyCoverage(const std::vector<uint64_t> &masks);
+
+/**
  * Score the whole corpus; programs fan out over @p pool (results are
  * independent of the job count).
  */

@@ -50,7 +50,6 @@
 #include "bugs/classification.hh"
 #include "core/artifacts.hh"
 #include "core/scifinder.hh"
-#include "fuzz/fleet.hh"
 #include "fuzz/fuzzer.hh"
 #include "monitor/overhead.hh"
 #include "monitor/service.hh"
@@ -72,6 +71,10 @@ enum class Kind { Switch, Number, Text };
  *  one per core. */
 constexpr uint64_t maxThreads = 256;
 
+/** The most records a serve batch may hold. Every session reserves a
+ *  batch of staging, so this caps it at 37 MiB (592-byte records). */
+constexpr uint64_t maxBatchRecords = 65536;
+
 constexpr uint64_t u32Max = UINT32_MAX;
 constexpr uint64_t u64Max = UINT64_MAX;
 constexpr uint64_t sizeMax = SIZE_MAX;
@@ -89,6 +92,10 @@ struct Flag
     const char *value;    ///< placeholder for the value in usage lines
     uint64_t min, max;    ///< accepted range of a Number
     const char *help;
+    /** The flag this one is read with, or null: a command that reads
+     *  both rejects this one alone (identify writes trace sets only
+     *  with --artifact-dir, so it would ignore --chunk-records). */
+    const char *needs = nullptr;
 };
 
 const Flag flags[] = {
@@ -104,7 +111,9 @@ const Flag flags[] = {
     {"--chunk-records",
      "run,generate,identify,trace capture,trace extract,trace merge",
      Kind::Number, "N", 1, u32Max,
-     "records per trace-set chunk (default 4096)"},
+     "records per trace-set chunk (default 4096; run and identify "
+     "read it only with --artifact-dir)",
+     "--artifact-dir"},
     {"--no-inference", "run", Kind::Switch, nullptr, 0, 0,
      "stop after phase 3"},
     {"--interpreted-sim", "run,generate,identify,trace capture",
@@ -116,23 +125,20 @@ const Flag flags[] = {
     {"--audit-traces", "analyze", Kind::Switch, nullptr, 0, 0,
      "also scan the training traces for violations"},
     {"--seed", "fuzz,serve", Kind::Number, "S", 0, u64Max,
-     "seed of the generated programs (default 1)"},
+     "seed of the generated programs (default 1; serve reads it "
+     "only with --fuzz, fuzz only without --replay)",
+     "--fuzz"},
     {"--count", "fuzz", Kind::Number, "N", 0, u32Max,
-     "fuzz: programs to generate (default 256)"},
+     "fuzz: programs to generate (default 256; not with --replay)"},
     {"--mutation-coverage", "fuzz", Kind::Switch, nullptr, 0, 0,
      "also score mutation kills; fail unless all are killed"},
     {"--replay", "fuzz", Kind::Text, "D", 0, 0,
      "replay the *.s programs of D instead of generating"},
-    {"--fleet", "fuzz", Kind::Number, "N", 0, maxThreads,
-     "run N work-stealing shards, 0 = all cores (same artifacts "
-     "for any N; not with --replay)"},
-    {"--grain", "fuzz", Kind::Number, "N", 1, u32Max,
-     "seeds a fleet shard claims at a time (default 16)"},
     {"--shards", "serve", Kind::Number, "N", 0, maxThreads,
      "checker shards, 0 = all cores (default 1)"},
     {"--queue-batches", "serve", Kind::Number, "N", 1, sizeMax,
      "per-shard queue bound in batches (default 64)"},
-    {"--batch-records", "serve", Kind::Number, "N", 1, sizeMax,
+    {"--batch-records", "serve", Kind::Number, "N", 1, maxBatchRecords,
      "records per batch (default 256)"},
     {"--stats", "serve", Kind::Switch, nullptr, 0, 0,
      "print service telemetry"},
@@ -175,6 +181,18 @@ reads(const Command &cmd, const Flag &flag)
         if (name == cmd.name)
             return true;
     return false;
+}
+
+/** @return @p cmd's row for the flag @p name, or null if @p cmd does
+ *  not read it. */
+const Flag *
+lookup(const Command &cmd, const std::string &name)
+{
+    for (const Flag &flag : flags) {
+        if (name == flag.name && reads(cmd, flag))
+            return &flag;
+    }
+    return nullptr;
 }
 
 /** A command line parsed against the flag table. */
@@ -287,7 +305,8 @@ parseNumber(const std::string &text, uint64_t *out)
  * Parse the words after the command name into @p args, against the
  * flag table. @return false, after saying why, on a flag that
  * args.cmd does not read, a missing or malformed value, a number out
- * of its range, a missing required flag or the wrong operand count.
+ * of its range, a missing required flag, a flag without the flag it
+ * needs, or the wrong operand count.
  */
 bool
 parse(const std::vector<std::string> &words, Args &args)
@@ -299,13 +318,7 @@ parse(const std::vector<std::string> &words, Args &args)
             args.operands.push_back(word);
             continue;
         }
-        const Flag *flag = nullptr;
-        for (const Flag &f : flags) {
-            if (word == f.name && reads(cmd, f)) {
-                flag = &f;
-                break;
-            }
-        }
+        const Flag *flag = lookup(cmd, word);
         if (flag == nullptr) {
             std::fprintf(stderr, "scifinder %s does not read %s\n",
                          cmd.name, word.c_str());
@@ -344,6 +357,15 @@ parse(const std::vector<std::string> &words, Args &args)
         std::fprintf(stderr, "scifinder %s needs %s\n", cmd.name,
                      cmd.required);
         return false;
+    }
+    for (const auto &[name, value] : args.values) {
+        const Flag *flag = lookup(cmd, name);
+        if (flag->needs && lookup(cmd, flag->needs) &&
+            !args.has(flag->needs)) {
+            std::fprintf(stderr, "scifinder %s reads %s only with %s\n",
+                         cmd.name, name.c_str(), flag->needs);
+            return false;
+        }
     }
     return args.operands.size() >= cmd.minOperands &&
            args.operands.size() <= cmd.maxOperands;
@@ -1040,7 +1062,8 @@ cmdRun(const Args &args)
 /**
  * Differential fuzzing campaign. Exit status: 0 when no divergence
  * (and, with --mutation-coverage, every Table 1 mutation killed),
- * 1 otherwise, 2 on usage errors.
+ * 1 otherwise, 2 on usage errors, 3 when a file cannot be read or
+ * written or a replay program does not assemble.
  */
 int
 cmdFuzz(const Args &args)
@@ -1051,28 +1074,12 @@ cmdFuzz(const Args &args)
     config.count = uint32_t(args.number("--count", config.count));
     config.mutationCoverage = args.has("--mutation-coverage");
     config.replayDir = args.text("--replay");
-
-    if (args.has("--fleet")) {
-        if (!config.replayDir.empty()) {
-            std::fprintf(stderr,
-                         "--fleet cannot replay a directory; drop "
-                         "--replay\n");
-            return 2;
+    for (const char *flag : {"--seed", "--count"}) {
+        if (args.has("--replay") && args.has(flag)) {
+            std::fprintf(stderr, "scifinder fuzz reads %s only without "
+                                 "--replay\n", flag);
+            return usageError(args);
         }
-        fuzz::FleetConfig fc;
-        fc.fuzz = config;
-        fc.shards = unsigned(args.number("--fleet", fc.shards));
-        fc.grain = uint32_t(args.number("--grain", fc.grain));
-        fuzz::FleetResult fr = fuzz::runFleet(fc);
-        std::printf("%s", fr.result.render().c_str());
-        std::printf("fleet: %u shards, %llu claims, %llu raw "
-                    "divergences (%llu deduped)\n",
-                    fr.shardsUsed, (unsigned long long)fr.claims,
-                    (unsigned long long)fr.divergences,
-                    (unsigned long long)fr.dedupDropped);
-        if (!config.artifactDir.empty())
-            std::printf("artifacts:   %s\n", config.artifactDir.c_str());
-        return fr.result.ok() ? 0 : 1;
     }
 
     auto pool = makePool(args.number("--jobs", 1));

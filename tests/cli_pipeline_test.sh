@@ -3,9 +3,11 @@
 #  - `run --artifact-dir` and the four phase subcommands (generate,
 #    optimize, identify, infer) write byte-identical artifact trees;
 #  - `run` honours --chunk-records;
-#  - a flag that a command does not read, and a number outside its
-#    flag's range, are usage errors (2);
-#  - an SCI database index beyond the model is a corrupt artifact (3);
+#  - a flag that a command does not read (or does not read in the
+#    mode the other flags select), and a number outside its flag's
+#    range, are usage errors (2);
+#  - an SCI database index beyond the model is a corrupt artifact (3),
+#    and so is a fuzz campaign that cannot read or write its files;
 #  - the security-dataflow audit is sound and byte-identical across
 #    --jobs.
 #
@@ -86,6 +88,40 @@ expect 2 "$B" infer --artifact-dir "$D/empty" --jobs 257
 has err "--jobs expects a number from 0 to 256, got '257'"
 expect 1 "$B" infer --artifact-dir "$D/empty" --jobs 0x2
 has err "missing artifact"
+expect 2 "$B" fuzz --fleet 2
+has err "scifinder fuzz does not read --fleet"
+expect 2 "$B" fuzz --grain 7
+has err "scifinder fuzz does not read --grain"
+expect 2 "$B" serve --artifact-dir "$D/B" --fuzz 1 \
+    --batch-records 1099511627776
+has err "--batch-records expects a number from 1 to 65536"
+
+# A flag that a command reads only in some modes is a usage error in
+# the others: trace sets are written only with --artifact-dir, serve
+# generates programs only with --fuzz, and a replay generates none.
+expect 2 "$B" identify --chunk-records 7 --validation 1 b1
+has err "scifinder identify reads --chunk-records only with --artifact-dir"
+expect 2 "$B" run --chunk-records 512 --no-inference
+has err "scifinder run reads --chunk-records only with --artifact-dir"
+expect 2 "$B" serve --artifact-dir "$D/B" --workloads --seed 3
+has err "scifinder serve reads --seed only with --fuzz"
+expect 2 "$B" fuzz --replay "$D/empty" --count 3
+has err "scifinder fuzz reads --count only without --replay"
+
+# A fuzz campaign that cannot read or write its files is an I/O error
+# (3), not a failed campaign (1).
+expect 3 "$B" fuzz --replay "$D/missing"
+has err "cannot read replay directory"
+expect 3 "$B" fuzz --replay "$D/empty"
+has err "contains no .s programs"
+mkdir -p "$D/bad"
+echo "l.bogus r1" >"$D/bad/a.s"
+expect 3 "$B" fuzz --replay "$D/bad"
+has err "a.s' does not assemble: line 1"
+: >"$D/file"
+expect 3 "$B" fuzz --count 2 --artifact-dir "$D/file/x"
+has err "cannot create directory"
+has err "path:   $D/file/x/corpus"
 
 # b1's first true SCI index (byte 30 of scidb.bin: the 8-byte header,
 # the result count, the bug id "b1" and its SCI count) set to 10^9.

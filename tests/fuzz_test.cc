@@ -2,18 +2,21 @@
  * @file
  * Tests for the differential fuzzing harness: generator determinism
  * and well-formedness, reference-interpreter agreement with the
- * simulator, mutation-coverage kill rates, shrinking, artifact
- * round-trips, and replay of the minimized regression corpus in
- * tests/corpus/.
+ * simulator, mutation-coverage kill rates, shrinking, campaigns that
+ * report and write the same bytes at any pool width (divergent ones
+ * too), artifact round-trips, replay failures, and replay of the
+ * minimized regression corpus in tests/corpus/.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "asm/assembler.hh"
@@ -24,6 +27,7 @@
 #include "fuzz/progen.hh"
 #include "fuzz/refsim.hh"
 #include "isa/insn.hh"
+#include "support/ioerror.hh"
 #include "support/strings.hh"
 #include "support/threadpool.hh"
 
@@ -186,6 +190,140 @@ TEST(Fuzzer, ReportIsIdenticalAcrossJobCounts)
     FuzzResult parallel = runFuzz(fc, &pool);
     EXPECT_TRUE(serial.ok());
     EXPECT_EQ(serial.render(), parallel.render());
+}
+
+/** A campaign whose CPU carries B10, so programs diverge and shrink. */
+FuzzConfig
+divergentCampaign()
+{
+    FuzzConfig fc;
+    fc.seed = 77;
+    fc.count = 20;
+    fc.mutations = {cpu::Mutation::B10_Gpr0Writable};
+    return fc;
+}
+
+/** Every file under @p dir, by path relative to it. */
+std::map<std::string, std::string>
+slurpDir(const fs::path &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : fs::recursive_directory_iterator(dir)) {
+        if (!entry.is_regular_file())
+            continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        files[fs::relative(entry.path(), dir).string()] = text.str();
+    }
+    return files;
+}
+
+TEST(Fuzzer, WidthsProduceIdenticalReports)
+{
+    FuzzConfig fc = divergentCampaign();
+    support::ThreadPool narrow(1);
+    FuzzResult one = runFuzz(fc, &narrow);
+    ASSERT_FALSE(one.repros.empty())
+        << "B10 exposed no divergence; the campaign tests nothing";
+
+    // Every diverging program is reported, in index order, and no
+    // other.
+    DiffConfig dc;
+    dc.mutations = fc.mutations;
+    std::vector<uint32_t> diverging, reported;
+    for (uint32_t i = 0; i < fc.count; ++i) {
+        if (diffProgram(assembleGenerated(generate(fc.gen, fc.seed, i)),
+                        dc))
+            diverging.push_back(i);
+    }
+    for (const Repro &r : one.repros)
+        reported.push_back(r.index);
+    EXPECT_EQ(reported, diverging);
+
+    for (size_t width : {3u, 8u}) {
+        support::ThreadPool pool(width);
+        FuzzResult wide = runFuzz(fc, &pool);
+        EXPECT_EQ(wide.render(), one.render()) << width;
+        ASSERT_EQ(wide.repros.size(), one.repros.size());
+        for (size_t i = 0; i < one.repros.size(); ++i) {
+            const Repro &a = one.repros[i];
+            const Repro &b = wide.repros[i];
+            EXPECT_EQ(a.index, b.index);
+            EXPECT_EQ(a.name, b.name);
+            EXPECT_EQ(a.source, b.source);
+            EXPECT_EQ(a.divergence.what, b.divergence.what);
+        }
+    }
+}
+
+TEST(Fuzzer, ArtifactsIdenticalAcrossWidths)
+{
+    fs::path base = fs::temp_directory_path() /
+                    format("scif_fuzz_widths_%d", getpid());
+    fs::remove_all(base);
+
+    FuzzConfig fc = divergentCampaign();
+    fc.count = 12;
+    std::map<std::string, std::string> first;
+    for (size_t width : {1u, 3u, 8u}) {
+        support::ThreadPool pool(width);
+        fc.artifactDir = (base / format("w%zu", width)).string();
+        FuzzResult result = runFuzz(fc, &pool);
+        EXPECT_FALSE(result.ok());
+        auto tree = slurpDir(fc.artifactDir);
+        if (width == 1) {
+            first = tree;
+            continue;
+        }
+        EXPECT_EQ(tree, first) << width;
+    }
+    EXPECT_TRUE(first.count("fuzz_report.txt"));
+    EXPECT_TRUE(first.count("corpus/prog_0000.s"));
+    EXPECT_TRUE(first.count("corpus/prog_0011.s"));
+    EXPECT_TRUE(std::any_of(first.begin(), first.end(), [](auto &f) {
+        return f.first.starts_with("repro_");
+    }));
+
+    fs::remove_all(base);
+}
+
+TEST(Fuzzer, ReplayFailuresThrowIoError)
+{
+    fs::path dir = fs::temp_directory_path() /
+                   format("scif_fuzz_replay_%d", getpid());
+    fs::remove_all(dir);
+    FuzzConfig fc;
+    fc.replayDir = dir.string();
+
+    auto failure = [&](support::ThreadPool *pool = nullptr) {
+        try {
+            runFuzz(fc, pool);
+        } catch (const support::IoError &e) {
+            EXPECT_FALSE(e.path().empty());
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << "no IoError";
+        return std::string();
+    };
+
+    EXPECT_NE(failure().find("cannot read replay directory"),
+              std::string::npos);
+    fs::create_directories(dir);
+    EXPECT_NE(failure().find("contains no .s programs"),
+              std::string::npos);
+    std::ofstream(dir / "a.s") << "l.bogus r1\n";
+    EXPECT_NE(failure().find("a.s' does not assemble: line 1"),
+              std::string::npos);
+
+    // Whichever task fails first, the lowest index is reported.
+    for (char name = 'b'; name <= 'h'; ++name)
+        std::ofstream(dir / format("%c.s", name)) << "l.bogus r2\n";
+    support::ThreadPool pool(4);
+    EXPECT_NE(failure(&pool).find("a.s' does not assemble"),
+              std::string::npos);
+
+    fs::remove_all(dir);
 }
 
 TEST(Fuzzer, ArtifactsSaveAndReplay)
