@@ -16,7 +16,9 @@
 #include <cstdio>
 #include <thread>
 
+#include "asm/assembler.hh"
 #include "bench/common.hh"
+#include "cpu/cpu.hh"
 #include "support/strings.hh"
 #include "trace/capture.hh"
 #include "trace/columns.hh"
@@ -84,11 +86,12 @@ experiment()
 
 /**
  * Before/after of the trace-generation phase's simulation front end:
- * the interpreted fetch/decode loop with the post-hoc columnar
- * transpose (the pre-predecode implementation, kept as the oracle
- * behind --interpreted-sim) versus the predecoded basic-block cache
- * with capture-time columnar tracing the phase now runs on. See
- * bench/sim_throughput for the instruction-level sweep.
+ * the interpreted fetch/decode loop (CpuConfig::predecode = false,
+ * the oracle the differential tests compare against) into AoS
+ * buffers with the post-hoc columnar transpose, versus the
+ * predecoded basic-block cache with capture-time columnar tracing
+ * the phase runs on. See bench/sim_throughput for the
+ * instruction-level sweep.
  */
 void
 simFrontEndComparison()
@@ -118,8 +121,13 @@ simFrontEndComparison()
         std::vector<const trace::TraceBuffer *> ptrs;
         std::vector<trace::TraceBuffer> traces;
         traces.reserve(suite.size());
-        for (const auto &w : suite)
-            traces.push_back(workloads::run(w, {}, true));
+        for (const auto &w : suite) {
+            cpu::CpuConfig config = w.config;
+            config.predecode = false;
+            cpu::Cpu cpu(config);
+            cpu.loadProgram(assembler::assembleOrDie(w.source));
+            cpu.run(&traces.emplace_back());
+        }
         for (const auto &t : traces)
             ptrs.push_back(&t);
         auto cols = trace::ColumnSet::build(ptrs);

@@ -519,6 +519,17 @@ table1()
 }
 
 std::vector<const Bug *>
+resolve(const std::vector<std::string> &ids)
+{
+    if (ids.empty())
+        return table1();
+    std::vector<const Bug *> out;
+    for (const auto &id : ids)
+        out.push_back(&byId(id));
+    return out;
+}
+
+std::vector<const Bug *>
 heldOut()
 {
     std::vector<const Bug *> out;
@@ -547,13 +558,10 @@ runTrigger(const Bug &bug, bool buggy)
 }
 
 TriggerTraces
-runTriggers(const Bug &bug, bool interpretedSim)
+runTriggers(const Bug &bug)
 {
     cpu::CpuConfig config = bug.config;
-    cpu::MutationSet buggy = config.mutations;
-    buggy.add(bug.mutation);
-    config.mutations = buggy;
-    config.predecode = !interpretedSim;
+    config.mutations.add(bug.mutation);
     cpu::Cpu cpu(config);
 
     assembler::Program program = assembler::assembleOrDie(bug.trigger);

@@ -43,6 +43,11 @@ const Bug &byId(const std::string &id);
 /** @return the 17 identification bugs of Table 1. */
 std::vector<const Bug *> table1();
 
+/** @return the bugs @p ids names, in order, or table1() when it
+ *  names none; aborts on an unknown id. */
+std::vector<const Bug *>
+resolve(const std::vector<std::string> &ids);
+
 /** @return the 14 held-out bugs of §5.6. */
 std::vector<const Bug *> heldOut();
 
@@ -70,12 +75,8 @@ struct TriggerTraces
  * under their mutation keys. The program is reloaded between runs
  * only if the buggy run dirtied memory. Traces are identical to two
  * runTrigger() calls.
- *
- * @param bug the bug.
- * @param interpretedSim force the interpreted front end (the
- *        differential oracle for the predecoded default).
  */
-TriggerTraces runTriggers(const Bug &bug, bool interpretedSim = false);
+TriggerTraces runTriggers(const Bug &bug);
 
 } // namespace scif::bugs
 

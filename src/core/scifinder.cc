@@ -40,18 +40,6 @@ resolveWorkloads(const PipelineConfig &config)
     return list;
 }
 
-/** Resolve the configured bug list to registry entries. */
-std::vector<const bugs::Bug *>
-resolveBugs(const PipelineConfig &config)
-{
-    if (config.bugIds.empty())
-        return bugs::table1();
-    std::vector<const bugs::Bug *> list;
-    for (const auto &id : config.bugIds)
-        list.push_back(&bugs::byId(id));
-    return list;
-}
-
 /** Seed of the simulated expert's validation corpus (§5.7). */
 constexpr uint64_t validationSeed = 0x5eed;
 
@@ -134,15 +122,12 @@ generatePhase(const PipelineConfig &config, support::ThreadPool *pool,
     if (persist)
         paths.ensureDir();
 
-    // Default front end: predecoded simulation scattering records
-    // straight into per-point columns (no AoS intermediate); the
-    // trace artifact is reconstructed from the captures on demand.
-    // --interpreted-sim keeps the classic interpreted + AoS-buffer +
-    // post-hoc-transpose path as the differential oracle. With an
-    // artifact directory, both front ends instead stream: workloads
-    // seal compressed chunks into the trace set as they simulate,
-    // and invariant generation folds the chunks back a window at a
-    // time. All paths produce byte-identical artifacts and models.
+    // In memory, the predecoded simulation scatters records straight
+    // into per-point columns (no AoS intermediate). With an artifact
+    // directory, workloads instead seal compressed chunks into the
+    // trace set as they simulate, and invariant generation folds the
+    // chunks back a window at a time. Both paths produce
+    // byte-identical models.
     //
     // The trace stages take the resolved workload list as input, so
     // they count workloads in and traces out.
@@ -160,8 +145,7 @@ generatePhase(const PipelineConfig &config, support::ThreadPool *pool,
                 return trace::buildTraceSetParallel(
                     paths.traces(), config.traceChunkRecords, names,
                     [&](size_t i, trace::TraceSink &sink) {
-                        workloads::runInto(*list[i], {},
-                                           config.interpretedSim, &sink);
+                        workloads::runInto(*list[i], {}, &sink);
                     },
                     sc.pool());
             });
@@ -181,40 +165,6 @@ generatePhase(const PipelineConfig &config, support::ThreadPool *pool,
                     reader, config.generation, stats, sc.pool());
             });
         result.model = genStage.run(ctx, counts);
-    } else if (config.interpretedSim) {
-        // -- phase 1a: trace generation (fans out per workload) --
-        Stage<WorkloadList, std::vector<trace::NamedTrace>>
-            traceStage(
-                "trace-generation",
-                [](StageContext &sc, WorkloadList &list) {
-                    return support::parallelMap(
-                        sc.pool(), list,
-                        [](const workloads::Workload *w) {
-                            return trace::NamedTrace{
-                                w->name,
-                                workloads::run(*w, {},
-                                               /*interpreted=*/true)};
-                        });
-                });
-        auto traces = traceStage.run(ctx, workloadList);
-        for (const auto &nt : traces) {
-            result.traceRecords += nt.trace.size();
-            result.traceBytes +=
-                nt.trace.size() * sizeof(trace::Record);
-        }
-
-        // -- phase 1b: invariant generation (fans out per point) --
-        Stage<std::vector<trace::NamedTrace>, invgen::InvariantSet>
-            genStage("invariant-generation",
-                     [&config, stats](StageContext &sc,
-                                      std::vector<trace::NamedTrace> &in) {
-                         std::vector<const trace::TraceBuffer *> ptrs;
-                         for (const auto &nt : in)
-                             ptrs.push_back(&nt.trace);
-                         return invgen::generate(ptrs, config.generation,
-                                                 stats, sc.pool());
-                     });
-        result.model = genStage.run(ctx, traces);
     } else {
         // -- phase 1a: columnar trace capture (per workload) --
         Stage<WorkloadList, std::vector<trace::NamedCapture>>
@@ -285,8 +235,7 @@ optimizePhase(const PipelineConfig &config, support::ThreadPool *pool,
 
 void
 identifyPhase(const PipelineConfig &config, support::ThreadPool *pool,
-              PipelineResult &result,
-              std::vector<sci::TriageReport> *triage)
+              PipelineResult &result)
 {
     const bool persist = !config.artifactDir.empty();
     ArtifactPaths paths(config.artifactDir);
@@ -303,8 +252,8 @@ identifyPhase(const PipelineConfig &config, support::ThreadPool *pool,
     StageContext ctx(pool, &result.stages);
     Stage<invgen::InvariantSet, IdentOutput> identStage(
         "identification",
-        [&config, persist, &paths, triage](StageContext &sc,
-                                           invgen::InvariantSet &model) {
+        [&config, persist, &paths](StageContext &sc,
+                                   invgen::InvariantSet &model) {
             IdentOutput out;
             // Compile the model once for both the validation-corpus
             // scan and the per-bug identification sweeps.
@@ -317,24 +266,20 @@ identifyPhase(const PipelineConfig &config, support::ThreadPool *pool,
                 // in-memory corpus scan.
                 workloads::validationCorpusToStore(
                     paths.validation(), config.validationPrograms,
-                    validationSeed, sc.pool(), config.interpretedSim,
-                    config.traceChunkRecords);
+                    validationSeed, sc.pool(), config.traceChunkRecords);
                 trace::TraceSetReader validation(paths.validation());
                 out.violations = sci::corpusViolations(
                     compiled, validation, sc.pool());
             } else {
                 auto validation = workloads::validationCorpus(
                     config.validationPrograms, validationSeed,
-                    sc.pool(), config.interpretedSim);
+                    sc.pool());
                 out.violations = sci::corpusViolations(
                     compiled, validation, sc.pool());
             }
-            // With a triage report the buggy-trace scans run in
-            // static triage order; the violation sets, and so every
-            // artifact, are unchanged by the ordering.
-            out.db = sci::identifyAll(compiled, resolveBugs(config),
-                                      out.violations, sc.pool(),
-                                      config.interpretedSim, triage);
+            out.db = sci::identifyAll(compiled,
+                                      bugs::resolve(config.bugIds),
+                                      out.violations, sc.pool());
             return out;
         },
         [](const auto &, const IdentOutput &out) {

@@ -48,15 +48,6 @@ struct PipelineConfig
     bool runInference = true;
 
     /**
-     * Run every simulation on the interpreted (non-predecoded) front
-     * end with AoS record buffering and the post-hoc columnar
-     * transpose — the differential oracle for the default predecoded
-     * + capture-time-columnar fast path. Artifacts are byte-identical
-     * either way.
-     */
-    bool interpretedSim = false;
-
-    /**
      * Worker threads for the intra-stage fan-outs (per workload, per
      * program point, per bug, per cross-validation fold). 1 = serial;
      * 0 = all hardware threads.
@@ -156,11 +147,9 @@ void optimizePhase(const PipelineConfig &config,
 
 /** Phase 3: scan the validation corpus (validation.bin, seed 0x5eed)
  *  and identify the SCI of the configured bugs (violations.bin,
- *  scidb.bin); @p triage, if given, receives one static-triage
- *  report per bug. */
+ *  scidb.bin). */
 void identifyPhase(const PipelineConfig &config,
-                   support::ThreadPool *pool, PipelineResult &result,
-                   std::vector<sci::TriageReport> *triage = nullptr);
+                   support::ThreadPool *pool, PipelineResult &result);
 
 /** Phase 4: infer further SCI and report the final set
  *  (inference.txt). */

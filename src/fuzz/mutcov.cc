@@ -23,19 +23,17 @@ struct Execution
     uint32_t eear = 0;
 };
 
-/** Run @p program into @p exec, reusing its trace storage. */
+/**
+ * Run @p program on @p c under @p mutations into @p exec, reusing its
+ * trace storage. loadProgram() resets the processor to the state a
+ * fresh Cpu would have, so the runs of one program share one Cpu.
+ */
 void
-execute(const assembler::Program &program, const MutCovConfig &config,
-        cpu::MutationSet mutations, Execution &exec)
+execute(cpu::Cpu &c, const assembler::Program &program,
+        const cpu::MutationSet &mutations, Execution &exec)
 {
-    cpu::CpuConfig cc;
-    cc.memBytes = config.memBytes;
-    cc.userBase = config.userBase;
-    cc.maxInsns = config.maxInsns;
-    cc.mutations = mutations;
-
     exec.trace.clear();
-    cpu::Cpu c(cc);
+    c.setMutations(mutations);
     c.loadProgram(program);
     exec.result = c.run(&exec.trace);
     for (unsigned n = 0; n < isa::numGprs; ++n)
@@ -80,14 +78,20 @@ distinguishable(const Execution &clean, const Execution &mutant)
 uint64_t
 killMask(const assembler::Program &program, const MutCovConfig &config)
 {
-    Execution clean, mutant;
-    execute(program, config, {}, clean);
+    cpu::CpuConfig cc;
+    cc.memBytes = config.memBytes;
+    cc.userBase = config.userBase;
+    cc.maxInsns = config.maxInsns;
+    cpu::Cpu c(cc);
 
-    // The mutant runs share one trace buffer, so only the first of
-    // them pays for growing it.
+    Execution clean, mutant;
+    execute(c, program, {}, clean);
+
+    // The mutant runs share one Cpu and one trace buffer, so only the
+    // first of them pays for allocating and growing them.
     uint64_t mask = 0;
     for (size_t m = 0; m < cpu::numMutations; ++m) {
-        execute(program, config, {cpu::Mutation(m)}, mutant);
+        execute(c, program, {cpu::Mutation(m)}, mutant);
         if (distinguishable(clean, mutant))
             mask |= uint64_t(1) << m;
     }

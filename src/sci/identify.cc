@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/secflow.hh"
 #include "support/binio.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -42,30 +41,6 @@ findViolations(const CompiledModel &model,
                 expr::CompiledInvariant::npos) {
                 violated.insert(idx);
             }
-        }
-    }
-    return std::vector<size_t>(violated.begin(), violated.end());
-}
-
-std::vector<size_t>
-findViolations(const CompiledModel &model,
-               const trace::TraceBuffer &trace,
-               const std::vector<size_t> &order)
-{
-    trace::ColumnSet cols = trace::ColumnSet::build(
-        trace, model.slots(), &model.points());
-
-    // Invariant-major sweep in the given priority order; the violated
-    // set — and therefore the returned vector — is order independent.
-    std::set<size_t> violated;
-    for (size_t idx : order) {
-        const expr::Invariant &inv = model.set().all()[idx];
-        trace::PointColumns *pc = cols.point(inv.point.id());
-        if (pc == nullptr)
-            continue;
-        if (model.programs()[idx].firstViolation(*pc, 0, pc->rows()) !=
-            expr::CompiledInvariant::npos) {
-            violated.insert(idx);
         }
     }
     return std::vector<size_t>(violated.begin(), violated.end());
@@ -169,60 +144,28 @@ combineScans(const bugs::Bug &bug,
 
 IdentificationResult
 identify(const CompiledModel &model, const bugs::Bug &bug,
-         const std::set<size_t> &knownNonInvariant, bool interpretedSim,
-         TriageReport *triage)
+         const std::set<size_t> &knownNonInvariant)
 {
-    bugs::TriggerTraces traces = bugs::runTriggers(bug, interpretedSim);
-    std::vector<size_t> buggyViolations;
-    if (triage != nullptr) {
-        analysis::TriageOrder order = analysis::triageOrder(
-            analysis::StateGraph::instance(), model.set().all(),
-            bug.mutation);
-        buggyViolations = findViolations(model, traces.buggy,
-                                         order.order);
-        triage->order = std::move(order.order);
-        triage->distance = std::move(order.distance);
-    } else {
-        buggyViolations = findViolations(model, traces.buggy);
-    }
-    IdentificationResult result =
-        combineScans(bug, buggyViolations,
-                     findViolations(model, traces.clean),
-                     knownNonInvariant);
-    if (triage != nullptr) {
-        triage->quality =
-            analysis::rankQuality(triage->order, result.trueSci);
-        std::vector<size_t> rank(triage->order.size(), 0);
-        for (size_t pos = 0; pos < triage->order.size(); ++pos)
-            rank[triage->order[pos]] = pos;
-        triage->firstSciRank = triage->order.size();
-        for (size_t idx : result.trueSci)
-            triage->firstSciRank =
-                std::min(triage->firstSciRank, rank[idx]);
-    }
-    return result;
+    bugs::TriggerTraces traces = bugs::runTriggers(bug);
+    return combineScans(bug, findViolations(model, traces.buggy),
+                        findViolations(model, traces.clean),
+                        knownNonInvariant);
 }
 
 SciDatabase
 identifyAll(const CompiledModel &model,
             const std::vector<const bugs::Bug *> &bugList,
             const std::set<size_t> &knownNonInvariant,
-            support::ThreadPool *pool, bool interpretedSim,
-            std::vector<TriageReport> *triage)
+            support::ThreadPool *pool)
 {
     // The compiled programs are immutable and shared read-only by
     // the per-bug workers. Each bug's identification (two trigger
     // simulations plus the violation scans) is independent; folding
     // the results in bug-list order keeps the database identical to
     // the serial loop.
-    if (triage != nullptr)
-        triage->assign(bugList.size(), TriageReport{});
     std::vector<IdentificationResult> results(bugList.size());
     support::parallelFor(pool, bugList.size(), [&](size_t i) {
-        results[i] = identify(model, *bugList[i], knownNonInvariant,
-                              interpretedSim,
-                              triage != nullptr ? &(*triage)[i]
-                                                : nullptr);
+        results[i] = identify(model, *bugList[i], knownNonInvariant);
     });
     SciDatabase db;
     for (const auto &result : results)

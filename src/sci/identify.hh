@@ -90,17 +90,6 @@ std::vector<size_t> findViolations(const CompiledModel &model,
                                    const trace::TraceBuffer &trace);
 
 /**
- * Triage-ordered violation scan: invariants are evaluated in the
- * given priority order (see analysis::triageOrder), so the
- * statically implicated invariants run their differential checks
- * first. The returned violation set is identical to the unordered
- * findViolations() — triage changes only which checks run early.
- */
-std::vector<size_t> findViolations(const CompiledModel &model,
-                                   const trace::TraceBuffer &trace,
-                                   const std::vector<size_t> &order);
-
-/**
  * Union of violations across a corpus of clean traces — the automated
  * stand-in for the expert's ISA knowledge. Traces are scanned in
  * parallel over @p pool when one is given; the union is
@@ -141,21 +130,6 @@ struct IdentificationResult
 };
 
 /**
- * Static-triage telemetry for one bug's identification: the scan
- * priority (analysis::triageOrder over the bug's mutation footprint)
- * and where the dynamically identified SCI landed in it. quality is
- * analysis::rankQuality — 1.0 when every true SCI leads the order,
- * 0.5 when the static ordering is no better than random.
- */
-struct TriageReport
-{
-    std::vector<size_t> order;      ///< scan order, invariant indices
-    std::vector<uint32_t> distance; ///< per-invariant taint distance
-    double quality = 1.0;           ///< rank quality of the true SCI
-    size_t firstSciRank = 0;        ///< order rank of the first SCI
-};
-
-/**
  * Identify the SCI for one bug.
  *
  * @param model the optimized invariant model, compiled.
@@ -163,33 +137,23 @@ struct TriageReport
  * @param knownNonInvariant invariants the validation corpus exposed
  *        as non-invariant (see corpusViolations()).
  *
- * The trigger pair runs on one Cpu via bugs::runTriggers();
- * @p interpretedSim forces the interpreted simulator front end (the
- * differential oracle for the predecoded default). When @p triage is
- * non-null, the buggy-trace scan runs in static triage order and the
- * report is filled in; the identification result is unchanged.
+ * The trigger pair runs on one Cpu via bugs::runTriggers().
  */
 IdentificationResult identify(const CompiledModel &model,
                               const bugs::Bug &bug,
-                              const std::set<size_t> &knownNonInvariant,
-                              bool interpretedSim = false,
-                              TriageReport *triage = nullptr);
+                              const std::set<size_t> &knownNonInvariant);
 
 /**
  * Identify the SCI for a list of bugs, fanning out per bug over
  * @p pool when one is given. Results are folded into the returned
  * database in the order of @p bugList, so the output is identical to
- * the serial per-bug loop. When @p triage is non-null it is resized
- * to the bug list and one report is produced per bug (the scans then
- * run in static triage order).
+ * the serial per-bug loop.
  */
 class SciDatabase;
 SciDatabase identifyAll(const CompiledModel &model,
                         const std::vector<const bugs::Bug *> &bugList,
                         const std::set<size_t> &knownNonInvariant,
-                        support::ThreadPool *pool = nullptr,
-                        bool interpretedSim = false,
-                        std::vector<TriageReport> *triage = nullptr);
+                        support::ThreadPool *pool = nullptr);
 
 /**
  * The accumulated identification output: which invariants are SCI

@@ -32,6 +32,7 @@
  * artifact is corrupt.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdint>
@@ -116,10 +117,6 @@ const Flag flags[] = {
      "--artifact-dir"},
     {"--no-inference", "run", Kind::Switch, nullptr, 0, 0,
      "stop after phase 3"},
-    {"--interpreted-sim", "run,generate,identify,trace capture",
-     Kind::Switch, nullptr, 0, 0,
-     "simulate on the interpreted front end, the oracle of the "
-     "predecoded one (same artifacts)"},
     {"--json", "analyze", Kind::Switch, nullptr, 0, 0,
      "print the report as JSON on stdout"},
     {"--audit-traces", "analyze", Kind::Switch, nullptr, 0, 0,
@@ -382,9 +379,30 @@ pipelineConfig(const Args &args)
         args.number("--validation", config.validationPrograms);
     config.traceChunkRecords = uint32_t(
         args.number("--chunk-records", config.traceChunkRecords));
-    config.interpretedSim = args.has("--interpreted-sim");
     config.runInference = !args.has("--no-inference");
     return config;
+}
+
+/**
+ * Check each of @p names against a registry (workloads::all() by
+ * name, bugs::all() by id) before any work starts. @return false,
+ * after saying which, if one is not there: an unknown name is a usage
+ * error, while the registries' own lookups abort on internal misuse.
+ */
+template <typename Entry>
+bool
+known(const char *what, const std::vector<std::string> &names,
+      const std::vector<Entry> &registry, std::string Entry::*key)
+{
+    for (const std::string &name : names) {
+        if (std::none_of(registry.begin(), registry.end(),
+                         [&](const Entry &e) { return e.*key == name; })) {
+            std::fprintf(stderr, "unknown %s '%s'\n", what,
+                         name.c_str());
+            return false;
+        }
+    }
+    return true;
 }
 
 /** Pool for a subcommand's own fan-outs (null = serial). */
@@ -544,11 +562,14 @@ chunkRecords(const Args &args)
 int
 cmdTraceCapture(const Args &args)
 {
+    if (!known("workload", {args.operands[0]}, workloads::all(),
+               &workloads::Workload::name))
+        return 2;
     const auto &w = workloads::byName(args.operands[0]);
     const std::string &out = args.operands[1];
     trace::TraceSetWriter writer(out, chunkRecords(args));
     writer.beginStream(w.name);
-    workloads::runInto(w, {}, args.has("--interpreted-sim"), &writer);
+    workloads::runInto(w, {}, &writer);
     writer.endStream();
     uint64_t records = writer.totalRecords();
     size_t chunks = writer.streams()[0].chunks.size();
@@ -765,6 +786,9 @@ cmdTraceMerge(const Args &args)
 int
 cmdGenerate(const Args &args)
 {
+    if (!known("workload", args.operands, workloads::all(),
+               &workloads::Workload::name))
+        return 2;
     core::PipelineConfig config = pipelineConfig(args);
     config.workloadNames = args.operands;
     auto pool = makePool(config.jobs);
@@ -836,6 +860,8 @@ printIdentification(const sci::SciDatabase &db,
 int
 cmdIdentify(const Args &args)
 {
+    if (!known("bug", args.operands, bugs::all(), &bugs::Bug::id))
+        return 2;
     core::PipelineConfig config = pipelineConfig(args);
     config.bugIds = args.operands;
     if (config.artifactDir.empty()) {
@@ -847,33 +873,30 @@ cmdIdentify(const Args &args)
         return 0;
     }
 
-    // The scans run in static triage order (secflow), so the
-    // statically implicated invariants run their differential checks
-    // first; the per-bug rank quality of the dynamically identified
-    // SCI is reported below.
     auto pool = makePool(config.jobs);
     core::PipelineResult r;
-    std::vector<sci::TriageReport> triage;
-    core::identifyPhase(config, pool.get(), r, &triage);
-
+    core::identifyPhase(config, pool.get(), r);
     printIdentification(r.database, r.model);
-    double qualitySum = 0.0;
-    size_t qualityBugs = 0;
-    for (size_t i = 0; i < triage.size(); ++i) {
-        const sci::IdentificationResult &res = r.database.results()[i];
-        if (res.trueSci.empty())
+
+    // Where each bug's SCI land in its static triage order (secflow),
+    // as the audit ranks them.
+    sci::AuditReport audit =
+        sci::audit(r.model, bugs::resolve(args.operands), &r.database,
+                   pool.get());
+    size_t detected = 0;
+    for (const sci::BugAudit &a : audit.bugs()) {
+        if (a.dynamicSci == 0)
             continue;
         std::printf("triage %s: rank quality %.3f, first SCI at "
                     "rank %zu/%zu\n",
-                    res.bugId.c_str(), triage[i].quality,
-                    triage[i].firstSciRank, triage[i].order.size());
-        qualitySum += triage[i].quality;
-        ++qualityBugs;
+                    a.bugId.c_str(), a.rankQuality, a.firstSciRank,
+                    r.model.size());
+        ++detected;
     }
-    if (qualityBugs != 0)
+    if (detected != 0)
         std::printf("triage mean rank quality: %.3f over %zu "
                     "detected bugs\n",
-                    qualitySum / double(qualityBugs), qualityBugs);
+                    audit.meanRankQuality(), detected);
     core::ArtifactPaths paths(config.artifactDir);
     std::printf("wrote %s and %s\n", paths.violations().c_str(),
                 paths.sciDatabase().c_str());
@@ -990,6 +1013,8 @@ cmdAnalyze(const Args &args)
 int
 cmdAudit(const Args &args)
 {
+    if (!known("bug", args.operands, bugs::all(), &bugs::Bug::id))
+        return 2;
     core::ArtifactPaths paths(args.text("--artifact-dir"));
     invgen::InvariantSet model = loadModel(paths);
 
@@ -1001,17 +1026,9 @@ cmdAudit(const Args &args)
             sci::SciDatabase::loadBinary(paths.sciDatabase(),
                                          model.size()));
 
-    std::vector<const bugs::Bug *> bugList;
-    if (args.operands.empty()) {
-        bugList = bugs::table1();
-    } else {
-        for (const auto &id : args.operands)
-            bugList.push_back(&bugs::byId(id));
-    }
-
     auto pool = makePool(args.number("--jobs", 1));
-    sci::AuditReport report =
-        sci::audit(model, bugList, db.get(), pool.get());
+    sci::AuditReport report = sci::audit(
+        model, bugs::resolve(args.operands), db.get(), pool.get());
 
     std::string text = report.render();
     std::ofstream out = openOutput(paths.audit());
@@ -1163,7 +1180,7 @@ cmdServe(const Args &args)
             Source source;
             source.name = "workload:" + w.name;
             source.feed = [&w](monitor::SessionSink &sink) {
-                workloads::runInto(w, {}, false, &sink);
+                workloads::runInto(w, {}, &sink);
             };
             sources.push_back(std::move(source));
         }

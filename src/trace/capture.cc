@@ -33,8 +33,7 @@ ColumnarCapture::builder(uint16_t pointId)
 void
 ColumnarCapture::record(const Record &rec)
 {
-    uint16_t id = rec.point.id();
-    PointBuilder &b = builder(id);
+    PointBuilder &b = builder(rec.point.id());
     size_t base = b.vals.size();
     b.vals.resize(base + numSlots);
     uint32_t *dst = b.vals.data() + base;
@@ -42,9 +41,7 @@ ColumnarCapture::record(const Record &rec)
         dst[slotId(v, true)] = rec.pre[v];
         dst[slotId(v, false)] = rec.post[v];
     }
-    b.index.push_back(rec.index);
-    b.fused.push_back(rec.fused ? 1 : 0);
-    order_.push_back(id);
+    ++records_;
 }
 
 std::vector<std::pair<uint16_t, size_t>>
@@ -119,36 +116,6 @@ ColumnarCapture::seal(const std::vector<const ColumnarCapture *> &captures)
         }
     }
     return set;
-}
-
-void
-ColumnarCapture::appendRecords(TraceBuffer &out) const
-{
-    std::vector<size_t> cursor(builders_.size(), 0);
-    out.reserve(out.size() + order_.size());
-    Record rec;
-    for (uint16_t id : order_) {
-        size_t bi = size_t(byId_[id]);
-        const PointBuilder &b = builders_[bi];
-        size_t row = cursor[bi]++;
-        rec.point = Point::fromId(id);
-        rec.index = b.index[row];
-        rec.fused = b.fused[row] != 0;
-        const uint32_t *vals = b.vals.data() + row * numSlots;
-        for (uint16_t v = 0; v < numVars; ++v) {
-            rec.pre[v] = vals[slotId(v, true)];
-            rec.post[v] = vals[slotId(v, false)];
-        }
-        out.record(rec);
-    }
-}
-
-TraceBuffer
-ColumnarCapture::toRecords() const
-{
-    TraceBuffer out;
-    appendRecords(out);
-    return out;
 }
 
 } // namespace scif::trace

@@ -11,11 +11,10 @@
  * second full pass over a trace-sized AoS buffer — the post-hoc
  * transpose and its allocation churn become optional.
  *
- * The capture keeps enough side information (per-record point order,
- * the index and fused flags) to reconstruct the exact AoS record
- * stream on demand, so persisted trace artifacts stay byte-identical
- * with the record-buffer path; the gtest differential suite enforces
- * both equalities.
+ * The capture keeps only the state values, not the record stream: a
+ * sealed set equals ColumnSet::build over the same records (the
+ * gtest differential suite enforces it). Persisted traces stream
+ * through trace::TraceSetWriter instead.
  */
 
 #ifndef SCIFINDER_TRACE_CAPTURE_HH
@@ -41,7 +40,7 @@ class ColumnarCapture final : public TraceSink
     void record(const Record &rec) override;
 
     /** @return number of records captured. */
-    size_t size() const { return order_.size(); }
+    size_t size() const { return records_; }
 
     /**
      * Seal this capture into a ColumnSet with every slot
@@ -58,25 +57,17 @@ class ColumnarCapture final : public TraceSink
     static ColumnSet
     seal(const std::vector<const ColumnarCapture *> &captures);
 
-    /** Reconstruct the exact AoS record stream. */
-    TraceBuffer toRecords() const;
-
-    /** Append the reconstructed record stream to @p out. */
-    void appendRecords(TraceBuffer &out) const;
-
   private:
     /** Growable value matrix of one program point, row-major in slot
      *  order (one contiguous append per record, so the capture loop
-     *  touches a single buffer tail per point), plus the per-row
-     *  record metadata. seal() turns each point's matrix slot-major
-     *  with one in-cache transpose per point. */
+     *  touches a single buffer tail per point). seal() turns each
+     *  point's matrix slot-major with one in-cache transpose per
+     *  point. */
     struct PointBuilder
     {
         std::vector<uint32_t> vals; ///< [rows][numSlots]
-        std::vector<uint64_t> index; ///< Record::index
-        std::vector<uint8_t> fused;  ///< Record::fused
 
-        size_t rows() const { return index.size(); }
+        size_t rows() const { return vals.size() / numSlots; }
     };
 
     PointBuilder &builder(uint16_t pointId);
@@ -88,7 +79,7 @@ class ColumnarCapture final : public TraceSink
     std::vector<PointBuilder> builders_;  ///< in first-seen order
     std::vector<uint16_t> builderIds_;    ///< point id per builder
     std::vector<int32_t> byId_;           ///< point id -> builder index
-    std::vector<uint16_t> order_;         ///< point id per record
+    size_t records_ = 0;                  ///< records captured
 };
 
 /** A named capture, one per workload (mirrors trace::NamedTrace). */

@@ -1007,11 +1007,10 @@ byName(const std::string &name)
 
 void
 runInto(const Workload &w, const cpu::MutationSet &mutations,
-        bool interpreted, trace::TraceSink *sink)
+        trace::TraceSink *sink)
 {
     cpu::CpuConfig config = w.config;
     config.mutations = mutations;
-    config.predecode = !interpreted;
     cpu::Cpu cpu(config);
     cpu.loadProgram(assembler::assembleOrDie(w.source));
     cpu::RunResult result = cpu.run(sink);
@@ -1022,11 +1021,10 @@ runInto(const Workload &w, const cpu::MutationSet &mutations,
 }
 
 trace::TraceBuffer
-run(const Workload &w, const cpu::MutationSet &mutations,
-    bool interpreted)
+run(const Workload &w, const cpu::MutationSet &mutations)
 {
     trace::TraceBuffer buffer;
-    runInto(w, mutations, interpreted, &buffer);
+    runInto(w, mutations, &buffer);
     return buffer;
 }
 
@@ -1034,7 +1032,7 @@ trace::ColumnarCapture
 runColumnar(const Workload &w, const cpu::MutationSet &mutations)
 {
     trace::ColumnarCapture capture;
-    runInto(w, mutations, /*interpreted=*/false, &capture);
+    runInto(w, mutations, &capture);
     return capture;
 }
 
@@ -1210,20 +1208,17 @@ validationPrograms(size_t count, uint64_t seed)
 
 std::vector<trace::TraceBuffer>
 validationCorpus(size_t count, uint64_t seed,
-                 support::ThreadPool *pool, bool interpreted)
+                 support::ThreadPool *pool)
 {
     std::vector<Workload> programs = validationPrograms(count, seed);
     return support::parallelMap(
-        pool, programs,
-        [interpreted](const Workload &w) {
-            return run(w, {}, interpreted);
-        });
+        pool, programs, [](const Workload &w) { return run(w); });
 }
 
 std::vector<uint64_t>
 validationCorpusToStore(const std::string &path, size_t count,
                         uint64_t seed, support::ThreadPool *pool,
-                        bool interpreted, uint32_t chunkRecords)
+                        uint32_t chunkRecords)
 {
     std::vector<Workload> programs = validationPrograms(count, seed);
     std::vector<std::string> names(count);
@@ -1232,7 +1227,7 @@ validationCorpusToStore(const std::string &path, size_t count,
     return trace::buildTraceSetParallel(
         path, chunkRecords, names,
         [&](size_t i, trace::TraceSink &sink) {
-            runInto(programs[i], {}, interpreted, &sink);
+            runInto(programs[i], {}, &sink);
         },
         pool);
 }

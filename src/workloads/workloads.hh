@@ -53,12 +53,9 @@ const Workload &byName(const std::string &name);
  *
  * @param w the workload.
  * @param mutations injected errata (empty = clean processor).
- * @param interpreted force the interpreted (non-predecoded) front
- *        end; the record stream is byte-identical either way.
  */
 trace::TraceBuffer run(const Workload &w,
-                       const cpu::MutationSet &mutations = {},
-                       bool interpreted = false);
+                       const cpu::MutationSet &mutations = {});
 
 /**
  * Run a workload, emitting trace records into an arbitrary sink —
@@ -67,13 +64,12 @@ trace::TraceBuffer run(const Workload &w,
  * produces them and never accumulate in memory.
  */
 void runInto(const Workload &w, const cpu::MutationSet &mutations,
-             bool interpreted, trace::TraceSink *sink);
+             trace::TraceSink *sink);
 
 /**
  * Run a workload, capturing straight into per-point columns (no AoS
- * intermediate). The capture reconstructs the exact run() record
- * stream via toRecords() and seals into the ColumnSet::build
- * geometry.
+ * intermediate). The capture seals into exactly the ColumnSet::build
+ * geometry of the run() record stream.
  */
 trace::ColumnarCapture
 runColumnar(const Workload &w, const cpu::MutationSet &mutations = {});
@@ -104,8 +100,7 @@ std::string randomProgram(Rng &rng, size_t length);
  */
 std::vector<trace::TraceBuffer>
 validationCorpus(size_t count = 24, uint64_t seed = 0x5eed,
-                 support::ThreadPool *pool = nullptr,
-                 bool interpreted = false);
+                 support::ThreadPool *pool = nullptr);
 
 /**
  * @return the validation-corpus programs themselves (the same pure
@@ -127,7 +122,6 @@ std::vector<uint64_t>
 validationCorpusToStore(const std::string &path, size_t count = 24,
                         uint64_t seed = 0x5eed,
                         support::ThreadPool *pool = nullptr,
-                        bool interpreted = false,
                         uint32_t chunkRecords = 4096);
 
 } // namespace scif::workloads

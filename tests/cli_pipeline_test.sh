@@ -4,12 +4,13 @@
 #    optimize, identify, infer) write byte-identical artifact trees;
 #  - `run` honours --chunk-records;
 #  - a flag that a command does not read (or does not read in the
-#    mode the other flags select), and a number outside its flag's
-#    range, are usage errors (2);
+#    mode the other flags select), a removed flag, a number outside
+#    its flag's range and an unknown workload or bug name are usage
+#    errors (2);
 #  - an SCI database index beyond the model is a corrupt artifact (3),
 #    and so is a fuzz campaign that cannot read or write its files;
 #  - the security-dataflow audit is sound and byte-identical across
-#    --jobs.
+#    --jobs, and identify's triage lines print its rank qualities.
 #
 # usage: cli_pipeline_test.sh <scifinder binary> <scratch dir>
 
@@ -79,6 +80,14 @@ expect 2 "$B" optimize --artifact-dir "$D/B" --jobs 4
 has err "scifinder optimize does not read --jobs"
 expect 2 "$B" run --interpreted-eval
 has err "does not read --interpreted-eval"
+expect 2 "$B" run --interpreted-sim
+has err "scifinder run does not read --interpreted-sim"
+expect 2 "$B" generate --artifact-dir "$D/I" --interpreted-sim
+has err "scifinder generate does not read --interpreted-sim"
+expect 2 "$B" identify --artifact-dir "$D/B" --interpreted-sim b1
+has err "scifinder identify does not read --interpreted-sim"
+expect 2 "$B" trace capture --interpreted-sim gzip "$D/I.bin"
+has err "scifinder trace capture does not read --interpreted-sim"
 expect 2 "$B" trace dump "$D/A/traces.bin" --limit -1
 has err "--limit expects a number, got '-1'"
 expect 2 "$B" fuzz --count 4294967297
@@ -95,6 +104,19 @@ has err "scifinder fuzz does not read --grain"
 expect 2 "$B" serve --artifact-dir "$D/B" --fuzz 1 \
     --batch-records 1099511627776
 has err "--batch-records expects a number from 1 to 65536"
+
+# A name outside the workload and bug registries is a usage error,
+# found before any phase runs.
+expect 2 "$B" generate --artifact-dir "$D/U" bogus
+has err "unknown workload 'bogus'"
+expect 2 "$B" trace capture bogus "$D/U.bin"
+has err "unknown workload 'bogus'"
+expect 2 "$B" identify --artifact-dir "$D/B" bogus
+has err "unknown bug 'bogus'"
+expect 2 "$B" identify bogus
+has err "unknown bug 'bogus'"
+expect 2 "$B" audit --artifact-dir "$D/B" nope
+has err "unknown bug 'nope'"
 
 # A flag that a command reads only in some modes is a usage error in
 # the others: trace sets are written only with --artifact-dir, serve
@@ -142,11 +164,35 @@ expect 0 "$B" generate --artifact-dir "$D/S" vmlinux basicmath parser \
 expect 0 "$B" optimize --artifact-dir "$D/S"
 expect 0 "$B" identify --artifact-dir "$D/S" --validation 6 b1 b3 b8 \
     b13
+cp "$D/out" "$D/identify.txt"
 expect 0 "$B" audit --artifact-dir "$D/S" --jobs 1
 cp "$D/S/audit.txt" "$D/audit-jobs1.txt"
 expect 0 "$B" audit --artifact-dir "$D/S" --jobs 4
 cmp -s "$D/audit-jobs1.txt" "$D/S/audit.txt" ||
     fail "audit.txt differs between --jobs 1 and --jobs 4"
+
+# identify's "triage <bug>:" lines give each detected bug's rank
+# quality and first SCI rank exactly as audit.txt does.
+# "triage b1: rank quality 0.717, first SCI at rank 31/20811" and
+# "dynamic cross-check: 57 SCI; rank quality 0.717; first SCI at rank
+# 31" under "== b1: ..." both become "b1 0.717 31".
+awk '/^triage [^ ]*: rank quality/ {
+         bug = $2; sub(/:$/, "", bug)
+         q = $5; sub(/,$/, "", q)
+         r = $10; sub(/\/.*/, "", r)
+         print bug, q, r
+     }' "$D/identify.txt" >"$D/triage-identify"
+awk '/^== / { bug = $2; sub(/:$/, "", bug) }
+     /^dynamic cross-check: .*rank quality/ {
+         q = $7; sub(/;$/, "", q)
+         print bug, q, $12
+     }' "$D/S/audit.txt" >"$D/triage-audit"
+[ -s "$D/triage-identify" ] || fail "identify printed no triage lines"
+cmp -s "$D/triage-identify" "$D/triage-audit" ||
+    fail "identify's triage lines differ from audit.txt:
+$(cat "$D/triage-identify")
+---
+$(cat "$D/triage-audit")"
 
 rm -rf "$D"
 echo "cli pipeline: ok"

@@ -2,7 +2,8 @@
  * @file
  * Tests for the differential fuzzing harness: generator determinism
  * and well-formedness, reference-interpreter agreement with the
- * simulator, mutation-coverage kill rates, shrinking, campaigns that
+ * simulator, mutation-coverage kill rates and the one Cpu each
+ * program's 32 coverage runs share, shrinking, campaigns that
  * report and write the same bytes at any pool width (divergent ones
  * too), artifact round-trips, replay failures, and replay of the
  * minimized regression corpus in tests/corpus/.
@@ -43,6 +44,22 @@ assembleGenerated(const GeneratedProgram &gp)
     EXPECT_TRUE(r.ok) << gp.name << ": "
                       << (r.errors.empty() ? "" : r.errors[0]);
     return r.program;
+}
+
+void
+expectSameTrace(const trace::TraceBuffer &a, const trace::TraceBuffer &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const trace::Record &x = a.records()[i];
+        const trace::Record &y = b.records()[i];
+        ASSERT_EQ(x.point.id(), y.point.id()) << what << " record " << i;
+        ASSERT_EQ(x.index, y.index) << what << " record " << i;
+        ASSERT_EQ(x.fused, y.fused) << what << " record " << i;
+        ASSERT_EQ(x.pre, y.pre) << what << " record " << i;
+        ASSERT_EQ(x.post, y.post) << what << " record " << i;
+    }
 }
 
 TEST(Progen, DeterministicFromSeedAndIndex)
@@ -174,6 +191,64 @@ TEST(MutationCoverage, CorpusKillsEveryTable1Mutation)
         EXPECT_EQ(s.programs, corpus.size());
         if (!s.heldOut) {
             EXPECT_GT(s.kills, 0u) << s.bugId;
+        }
+    }
+}
+
+TEST(MutationCoverage, ReusedCpuMatchesFreshCpu)
+{
+    // killMask runs each program's 32 configurations (clean, then
+    // every single mutation) on one Cpu: setMutations switches the
+    // defect and loadProgram resets the processor. Every run must
+    // equal the same run on a fresh Cpu: trace, RunResult and end
+    // state, memory included.
+    GenConfig gc;
+    MutCovConfig mc;
+    mc.memBytes = gc.memBytes;
+    cpu::CpuConfig cc;
+    cc.memBytes = mc.memBytes;
+    cc.userBase = mc.userBase;
+    cc.maxInsns = mc.maxInsns;
+    for (uint32_t i = 0; i < 6; ++i) {
+        GeneratedProgram gp = generate(gc, 77, i);
+        assembler::Program program = assembleGenerated(gp);
+        cpu::Cpu reused(cc);
+        for (size_t run = 0; run <= cpu::numMutations; ++run) {
+            cpu::MutationSet set;
+            if (run > 0)
+                set.add(cpu::Mutation(run - 1));
+            std::string what = gp.name + " run " + std::to_string(run);
+
+            reused.setMutations(set);
+            reused.loadProgram(program);
+            trace::TraceBuffer got;
+            cpu::RunResult gr = reused.run(&got);
+
+            cpu::CpuConfig fc = cc;
+            fc.mutations = set;
+            cpu::Cpu fresh(fc);
+            fresh.loadProgram(program);
+            trace::TraceBuffer want;
+            cpu::RunResult wr = fresh.run(&want);
+
+            EXPECT_EQ(gr.reason, wr.reason) << what;
+            EXPECT_EQ(gr.instructions, wr.instructions) << what;
+            EXPECT_EQ(gr.records, wr.records) << what;
+            expectSameTrace(got, want, what);
+            for (unsigned n = 0; n < isa::numGprs; ++n)
+                EXPECT_EQ(reused.gpr(n), fresh.gpr(n))
+                    << what << " r" << n;
+            EXPECT_EQ(reused.pc(), fresh.pc()) << what;
+            for (uint16_t spr : {isa::spr::SR, isa::spr::EPCR0,
+                                 isa::spr::EEAR0, isa::spr::ESR0}) {
+                EXPECT_EQ(reused.readSpr(spr), fresh.readSpr(spr))
+                    << what << " spr " << spr;
+            }
+            EXPECT_TRUE(std::equal(
+                reused.memory().raw(),
+                reused.memory().raw() + reused.memory().size(),
+                fresh.memory().raw()))
+                << what << ": memory differs";
         }
     }
 }
@@ -420,16 +495,7 @@ TEST(Corpus, FrontEndsAgreeOverCorpusAndGenerated)
             c.loadProgram(program);
             c.run(&traces[predecode ? 0 : 1]);
         }
-        ASSERT_EQ(traces[1].size(), traces[0].size()) << name;
-        for (size_t i = 0; i < traces[0].size(); ++i) {
-            const trace::Record &a = traces[0].records()[i];
-            const trace::Record &b = traces[1].records()[i];
-            ASSERT_EQ(a.point.id(), b.point.id()) << name << " record " << i;
-            ASSERT_EQ(a.index, b.index) << name << " record " << i;
-            ASSERT_EQ(a.fused, b.fused) << name << " record " << i;
-            ASSERT_EQ(a.pre, b.pre) << name << " record " << i;
-            ASSERT_EQ(a.post, b.post) << name << " record " << i;
-        }
+        expectSameTrace(traces[0], traces[1], name);
     }
 }
 

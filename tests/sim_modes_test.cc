@@ -1,13 +1,13 @@
 /**
  * @file
  * Differential tests between the two simulation front ends: the
- * default predecoded + capture-time-columnar fast path, and the
- * interpreted + post-hoc-transpose oracle behind --interpreted-sim.
- * The full workload suite and a fuzz corpus must produce record-
- * identical traces in both modes; ColumnarCapture must reconstruct
- * the exact AoS stream and seal into the exact ColumnSet::build
- * geometry; and the staged pipeline must persist byte-identical
- * artifacts for any (front end, --jobs) combination.
+ * default predecoded block cache, and the interpreted fetch-decode
+ * oracle a test selects with CpuConfig::predecode = false. The full
+ * workload suite, mutated workloads, the validation corpus phase 3
+ * scans, every Table 1 trigger (buggy and clean) and a fuzz corpus
+ * must produce record-identical traces on both; ColumnarCapture must
+ * seal into the exact ColumnSet::build geometry; and the staged
+ * pipeline must persist byte-identical artifacts for any --jobs.
  */
 
 #include <gtest/gtest.h>
@@ -42,12 +42,42 @@ expectSameRecords(const std::vector<trace::Record> &a,
     }
 }
 
+/** Run @p source on a fresh Cpu with the interpreted front end. */
+trace::TraceBuffer
+runInterpreted(const std::string &source, cpu::CpuConfig config)
+{
+    config.predecode = false;
+    cpu::Cpu cpu(config);
+    cpu.loadProgram(assembler::assembleOrDie(source));
+    trace::TraceBuffer out;
+    cpu.run(&out);
+    return out;
+}
+
+/** workloads::run() of @p w on the interpreted front end. */
+trace::TraceBuffer
+runInterpreted(const workloads::Workload &w,
+               const cpu::MutationSet &mutations = {})
+{
+    cpu::CpuConfig config = w.config;
+    config.mutations = mutations;
+    return runInterpreted(w.source, config);
+}
+
 TEST(SimModes, AllWorkloadsTraceIdentically)
 {
     for (const auto &w : workloads::all()) {
-        trace::TraceBuffer fast = workloads::run(w, {}, false);
-        trace::TraceBuffer slow = workloads::run(w, {}, true);
-        expectSameRecords(fast.records(), slow.records(), w.name);
+        expectSameRecords(workloads::run(w).records(),
+                          runInterpreted(w).records(), w.name);
+    }
+}
+
+TEST(SimModes, ValidationProgramsTraceIdentically)
+{
+    // The simulated expert's corpus, as phase 3 scans it.
+    for (const auto &w : workloads::validationPrograms(24, 0x5eed)) {
+        expectSameRecords(workloads::run(w).records(),
+                          runInterpreted(w).records(), w.name);
     }
 }
 
@@ -66,9 +96,8 @@ TEST(SimModes, MutatedWorkloadsTraceIdentically)
         set.add(m);
         for (const char *name : names) {
             const auto &w = workloads::byName(name);
-            trace::TraceBuffer fast = workloads::run(w, set, false);
-            trace::TraceBuffer slow = workloads::run(w, set, true);
-            expectSameRecords(fast.records(), slow.records(), name);
+            expectSameRecords(workloads::run(w, set).records(),
+                              runInterpreted(w, set).records(), name);
         }
     }
 }
@@ -102,41 +131,34 @@ TEST(SimModes, FuzzCorpusTracesIdentically)
     }
 }
 
-TEST(SimModes, ColumnarCaptureReconstructsRecordStream)
+TEST(SimModes, SealMatchesPostHocTranspose)
 {
-    for (const char *name : {"basicmath", "vmlinux", "quake"}) {
+    for (const char *name : {"basicmath", "vmlinux", "quake", "twolf"}) {
         const auto &w = workloads::byName(name);
         trace::TraceBuffer buf = workloads::run(w);
         trace::ColumnarCapture cap = workloads::runColumnar(w);
         ASSERT_EQ(cap.size(), buf.size()) << name;
-        expectSameRecords(cap.toRecords().records(), buf.records(),
-                          name);
-    }
-}
 
-TEST(SimModes, SealMatchesPostHocTranspose)
-{
-    const auto &w = workloads::byName("twolf");
-    trace::TraceBuffer buf = workloads::run(w);
-    trace::ColumnarCapture cap = workloads::runColumnar(w);
+        trace::ColumnSet direct = cap.seal();
+        trace::ColumnSet transposed = trace::ColumnSet::build(buf);
 
-    trace::ColumnSet direct = cap.seal();
-    trace::ColumnSet transposed = trace::ColumnSet::build(buf);
-
-    ASSERT_EQ(direct.points().size(), transposed.points().size());
-    ASSERT_EQ(direct.totalRows(), transposed.totalRows());
-    for (size_t i = 0; i < direct.points().size(); ++i) {
-        const trace::PointColumns &d = direct.points()[i];
-        const trace::PointColumns &t = transposed.points()[i];
-        ASSERT_EQ(d.point().id(), t.point().id());
-        ASSERT_EQ(d.rows(), t.rows());
-        for (uint16_t s = 0; s < trace::numSlots; ++s) {
-            ASSERT_EQ(d.has(s), t.has(s));
-            if (!d.has(s))
-                continue;
-            for (size_t r = 0; r < d.rows(); ++r) {
-                ASSERT_EQ(d.column(s)[r], t.column(s)[r])
-                    << "point " << i << " slot " << s << " row " << r;
+        ASSERT_EQ(direct.points().size(), transposed.points().size())
+            << name;
+        ASSERT_EQ(direct.totalRows(), transposed.totalRows()) << name;
+        for (size_t i = 0; i < direct.points().size(); ++i) {
+            const trace::PointColumns &d = direct.points()[i];
+            const trace::PointColumns &t = transposed.points()[i];
+            ASSERT_EQ(d.point().id(), t.point().id()) << name;
+            ASSERT_EQ(d.rows(), t.rows()) << name;
+            for (uint16_t s = 0; s < trace::numSlots; ++s) {
+                ASSERT_EQ(d.has(s), t.has(s)) << name;
+                if (!d.has(s))
+                    continue;
+                for (size_t r = 0; r < d.rows(); ++r) {
+                    ASSERT_EQ(d.column(s)[r], t.column(s)[r])
+                        << name << " point " << i << " slot " << s
+                        << " row " << r;
+                }
             }
         }
     }
@@ -144,22 +166,26 @@ TEST(SimModes, SealMatchesPostHocTranspose)
 
 TEST(SimModes, RunTriggersMatchesBothModesAndLegacy)
 {
-    for (const char *id : {"b6", "b10", "b11"}) {
-        const bugs::Bug &bug = bugs::byId(id);
-        bugs::TriggerTraces fast = bugs::runTriggers(bug, false);
-        bugs::TriggerTraces slow = bugs::runTriggers(bug, true);
-        expectSameRecords(fast.buggy.records(), slow.buggy.records(),
-                          std::string(id) + " buggy");
-        expectSameRecords(fast.clean.records(), slow.clean.records(),
-                          std::string(id) + " clean");
+    for (const bugs::Bug *bug : bugs::table1()) {
+        const std::string &id = bug->id;
+        bugs::TriggerTraces fast = bugs::runTriggers(*bug);
+        cpu::CpuConfig buggy = bug->config;
+        buggy.mutations.add(bug->mutation);
+        expectSameRecords(fast.buggy.records(),
+                          runInterpreted(bug->trigger, buggy).records(),
+                          id + " buggy");
+        expectSameRecords(
+            fast.clean.records(),
+            runInterpreted(bug->trigger, bug->config).records(),
+            id + " clean");
 
         // The one-Cpu fan-out must equal two fresh single runs.
         expectSameRecords(fast.buggy.records(),
-                          bugs::runTrigger(bug, true).records(),
-                          std::string(id) + " buggy vs legacy");
+                          bugs::runTrigger(*bug, true).records(),
+                          id + " buggy vs legacy");
         expectSameRecords(fast.clean.records(),
-                          bugs::runTrigger(bug, false).records(),
-                          std::string(id) + " clean vs legacy");
+                          bugs::runTrigger(*bug, false).records(),
+                          id + " clean vs legacy");
     }
 }
 
@@ -174,14 +200,12 @@ slurp(const std::filesystem::path &p)
 
 TEST(SimModes, PipelineArtifactsByteIdentical)
 {
-    auto runOnce = [](bool interpreted, size_t jobs,
-                      const std::string &dir) {
+    auto runOnce = [](size_t jobs, const std::string &dir) {
         core::PipelineConfig config;
         config.workloadNames = {"basicmath", "twolf"};
         config.bugIds = {"b6", "b10"};
         config.validationPrograms = 2;
         config.runInference = false;
-        config.interpretedSim = interpreted;
         config.jobs = jobs;
         config.artifactDir = dir;
         std::filesystem::create_directories(dir);
@@ -189,22 +213,17 @@ TEST(SimModes, PipelineArtifactsByteIdentical)
     };
 
     std::filesystem::path base = ::testing::TempDir();
-    std::string ref = (base / "artifacts-fast-serial").string();
-    std::string interp = (base / "artifacts-interp-serial").string();
-    std::string par = (base / "artifacts-fast-par").string();
-    auto a = runOnce(false, 1, ref);
-    auto b = runOnce(true, 1, interp);
-    auto c = runOnce(false, 4, par);
+    std::string ref = (base / "artifacts-serial").string();
+    std::string par = (base / "artifacts-par").string();
+    auto a = runOnce(1, ref);
+    auto b = runOnce(4, par);
     EXPECT_EQ(a.traceRecords, b.traceRecords);
-    EXPECT_EQ(a.traceRecords, c.traceRecords);
 
     size_t compared = 0;
     for (const auto &entry :
          std::filesystem::directory_iterator(ref)) {
         const std::string file = entry.path().filename().string();
         auto want = slurp(entry.path());
-        EXPECT_EQ(slurp(std::filesystem::path(interp) / file), want)
-            << file << " differs between front ends";
         EXPECT_EQ(slurp(std::filesystem::path(par) / file), want)
             << file << " differs across --jobs";
         ++compared;
